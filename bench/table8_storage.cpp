@@ -55,8 +55,9 @@ main(int argc, char **argv)
         "absolute sizes match the 2-bit four-group encoding.\n");
 
     // Host-side PathTable storage, dense (S x S PathCell half) vs
-    // DeferPairs (boundary column only; pair distances computed on
-    // demand by the sparse matcher's DistanceOracle). The d >= 17
+    // DeferPairs (boundary + landmark columns, PathTable::
+    // storageBytes(); pair distances computed on demand by the
+    // sparse matcher's DistanceOracle). The d >= 17
     // graphs are built with deferred tables so this bench itself
     // never pays the O(V^2) build it is quantifying.
     ReportTable host(
@@ -70,7 +71,8 @@ main(int argc, char **argv)
         const double n =
             static_cast<double>(ctx.graph().numDetectors());
         const double dense_bytes = n * n * sizeof(PathCell);
-        const double deferred_bytes = n * sizeof(PathCell);
+        const double deferred_bytes =
+            static_cast<double>(ctx.paths().storageBytes());
         host.addRow(
             {std::to_string(d),
              std::to_string(ctx.graph().numDetectors()),
@@ -82,7 +84,8 @@ main(int argc, char **argv)
     bench.emit(host);
     std::printf(
         "\nDeferPairs drops the pair half entirely (and its V "
-        "per-source Dijkstras at\nsetup); the sparse matcher "
+        "per-source Dijkstras at\nsetup, keeping O((K+1) V) "
+        "boundary and landmark columns); the sparse matcher\n"
         "recomputes exactly the pairs a decode touches.\n");
     return bench.finish();
 }

@@ -107,6 +107,7 @@ DecodingGraph::fromDem(const GraphlikeDem &dem,
     }
     graph.adjEdgeIds_.resize(graph.adjOffsets_[n]);
     graph.pairHalfEdges_.resize(graph.pairOffsets_[n]);
+    graph.pairWeights_.resize(graph.pairOffsets_[n]);
     std::vector<uint32_t> adjFill(graph.adjOffsets_.begin(),
                                   graph.adjOffsets_.end() - 1);
     std::vector<uint32_t> pairFill(graph.pairOffsets_.begin(),
@@ -115,11 +116,16 @@ DecodingGraph::fromDem(const GraphlikeDem &dem,
         graph.adjEdgeIds_[adjFill[edge.u]++] = edge.id;
         if (edge.v != kBoundary) {
             graph.adjEdgeIds_[adjFill[edge.v]++] = edge.id;
+            graph.pairWeights_[pairFill[edge.u]] = edge.weight;
             graph.pairHalfEdges_[pairFill[edge.u]++] = {edge.v,
                                                         edge.id};
+            graph.pairWeights_[pairFill[edge.v]] = edge.weight;
             graph.pairHalfEdges_[pairFill[edge.v]++] = {edge.u,
                                                         edge.id};
         }
+    }
+    for (double weight : graph.pairWeights_) {
+        graph.maxPairWeight_ = std::max(graph.maxPairWeight_, weight);
     }
     return graph;
 }

@@ -15,7 +15,10 @@
  * already float in the PathTable, and a 24-bit mantissa is far below
  * the physical uncertainty of any error prior. The full-precision
  * GraphEdge AoS remains the construction-time source of truth (the
- * PathTable Dijkstra accumulates the double weights).
+ * PathTable Dijkstra accumulates the double weights); pairWeights()
+ * copies those doubles next to the pair-edge CSR once, so the
+ * on-demand DistanceOracle accumulates the same values without
+ * chasing edge ids.
  */
 
 #ifndef QEC_GRAPH_DECODING_GRAPH_HPP
@@ -93,6 +96,22 @@ class DecodingGraph
                 pairHalfEdges_.data() + pairOffsets_[det + 1]};
     }
 
+    /**
+     * Full-precision weights of pairNeighbors(det), index for index
+     * (bit-copies of GraphEdge::weight). The on-demand Dijkstra
+     * accumulates these doubles without touching the GraphEdge AoS.
+     */
+    std::span<const double>
+    pairWeights(uint32_t det) const
+    {
+        return {pairWeights_.data() + pairOffsets_[det],
+                pairWeights_.data() + pairOffsets_[det + 1]};
+    }
+
+    /** Largest detector-detector edge weight (0 when the graph has
+     *  no pair edges); sets the oracle's bucket width. */
+    double maxPairWeight() const { return maxPairWeight_; }
+
     // --- SoA hot fields, bit-copied from the GraphEdge AoS at
     // construction (weight additionally narrowed to float — the
     // documented precision choice of the decode inner loops).
@@ -129,6 +148,8 @@ class DecodingGraph
     // Pair-edge CSR (boundary edges filtered out at construction).
     std::vector<uint32_t> pairOffsets_;
     std::vector<PairHalfEdge> pairHalfEdges_;
+    std::vector<double> pairWeights_; //!< Parallel to pairHalfEdges_.
+    double maxPairWeight_ = 0.0;
     // SoA hot fields, parallel to edges_.
     std::vector<float> edgeWeightF_;
     std::vector<uint64_t> edgeObs_;

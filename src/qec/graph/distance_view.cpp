@@ -33,10 +33,10 @@ DistanceView::gather(const PathTable &paths,
         // Deferred table: compute each row with the oracle (one
         // Dijkstra per defect, bit-identical to the table's cells).
         oracle_.bind(paths.graph());
-        const double no_radius =
-            std::numeric_limits<double>::infinity();
+        rt::assignFill(noBounds_, s,
+                       std::numeric_limits<double>::infinity());
         for (size_t a = 0; a < s; ++a) {
-            oracle_.grow(dets_[a], dets_, no_radius,
+            oracle_.grow(dets_[a], dets_, noBounds_,
                          cells_.data() + a * s);
             bcells_[a] = paths.boundaryCell(dets_[a]);
         }

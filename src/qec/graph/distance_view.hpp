@@ -96,6 +96,7 @@ class DistanceView
     std::vector<PathCell> cells_;  //!< S×S gathered pair cells.
     std::vector<PathCell> bcells_; //!< Gathered boundary column.
     DistanceOracle oracle_;        //!< Deferred-table gather engine.
+    std::vector<double> noBounds_; //!< All-infinite oracle bounds.
 };
 
 } // namespace qec

@@ -93,6 +93,7 @@ PathTable::PathTable(const DecodingGraph &graph, DeferPairs)
     QEC_ASSERT(graph.numObservables() <= 8,
                "PathTable packs obs masks into 8 bits");
     buildBoundary(graph);
+    buildLandmarks(graph);
 }
 
 void
@@ -147,6 +148,58 @@ PathTable::buildBoundary(const DecodingGraph &graph)
         boundary[v].hops = static_cast<uint8_t>(
             std::min<uint16_t>(s.hops[v], 255));
     }
+}
+
+void
+PathTable::buildLandmarks(const DecodingGraph &graph)
+{
+    numLandmarks_ = static_cast<int>(
+        std::min<uint32_t>(n, static_cast<uint32_t>(kLandmarks)));
+    landmarks_.assign(static_cast<size_t>(n) * numLandmarks_, kInf);
+    if (numLandmarks_ == 0) {
+        return;
+    }
+    DijkstraScratch s(n);
+    const auto runFrom = [&](uint32_t src) {
+        s.reset();
+        std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                            std::greater<>>
+            heap;
+        s.dist[src] = 0.0;
+        heap.push({0.0, src});
+        s.relaxAll(graph, heap);
+    };
+    // Farthest point from `far`: the largest value, infinity
+    // included, lowest index on ties.
+    const auto argmax = [&](const std::vector<double> &far) {
+        uint32_t best = 0;
+        for (uint32_t v = 1; v < n; ++v) {
+            if (far[v] > far[best]) {
+                best = v;
+            }
+        }
+        return best;
+    };
+    runFrom(0);
+    uint32_t next = argmax(s.dist);
+    std::vector<double> nearest(
+        n, std::numeric_limits<double>::infinity());
+    for (int l = 0; l < numLandmarks_; ++l) {
+        runFrom(next);
+        for (uint32_t v = 0; v < n; ++v) {
+            landmarks_[static_cast<size_t>(v) * numLandmarks_ + l] =
+                static_cast<float>(s.dist[v]);
+            nearest[v] = std::min(nearest[v], s.dist[v]);
+        }
+        next = argmax(nearest);
+    }
+}
+
+size_t
+PathTable::storageBytes() const
+{
+    return (cells.size() + boundary.size()) * sizeof(PathCell) +
+           landmarks_.size() * sizeof(float);
 }
 
 bool

@@ -26,11 +26,24 @@
  * Deferred mode: the pair half of the table is O(V²) cells plus V
  * per-source Dijkstras, which is what caps setup at d≈13 (≈54 MB at
  * d=17, ≈187 MB at d=21 — see bench/table8_storage.cpp). A table
- * constructed with PathTable::DeferPairs builds only the O(V)
- * boundary column and remembers the graph; pair distances are then
- * computed on demand by DistanceOracle / the sparse matcher (both
- * reproduce this file's Dijkstra bit-for-bit), and the pair-cell
- * accessors assert. pairsAvailable() tells the two modes apart.
+ * constructed with PathTable::DeferPairs builds only O(V) columns
+ * and remembers the graph: the boundary column plus kLandmarks
+ * landmark distance columns (float, node-major). Pair distances are
+ * then computed on demand by DistanceOracle / the sparse matcher
+ * (both reproduce this file's Dijkstra bit-for-bit), and the
+ * pair-cell accessors assert. pairsAvailable() tells the two modes
+ * apart; storageBytes() reports either mode's footprint.
+ *
+ * Landmarks: by the triangle inequality d(i, j) >= |dL(i) - dL(j)|
+ * for any detector L, so the landmark columns give every pair a
+ * lower bound without a search; the sparse matcher uses it to drop
+ * targets it can prove prunable (sparse_matcher.hpp states the
+ * bound under float narrowing). They are picked by deterministic
+ * farthest-point selection: the first is the detector farthest from
+ * detector 0, each next one the detector farthest from all chosen
+ * so far (unreachable counts as farthest, ties go to the lowest
+ * index), so landmarks land on the corners of the space-time volume
+ * and one lands in every disconnected component the budget reaches.
  */
 
 #ifndef QEC_GRAPH_PATH_TABLE_HPP
@@ -60,15 +73,16 @@ static_assert(sizeof(PathCell) == 8,
 class PathTable
 {
   public:
-    /** Tag selecting boundary-only construction (see file comment). */
+    /** Tag selecting deferred construction (see file comment). */
     struct DeferPairs
     {
     };
 
     explicit PathTable(const DecodingGraph &graph);
 
-    /** Boundary-only table: O(V) memory, one multi-source Dijkstra.
-     *  Pair-cell accessors assert until pairsAvailable(). */
+    /** Deferred table: boundary and landmark columns only, O(V)
+     *  memory and kLandmarks + 2 Dijkstras. Pair-cell accessors
+     *  assert until pairsAvailable(). */
     PathTable(const DecodingGraph &graph, DeferPairs);
 
     /** False when constructed with DeferPairs: the O(V²) pair half
@@ -132,6 +146,23 @@ class PathTable
 
     uint32_t numDetectors() const { return n; }
 
+    /** Landmark columns a DeferPairs table builds (fewer when the
+     *  graph has fewer detectors; a dense table builds none). */
+    static constexpr int kLandmarks = 8;
+
+    int numLandmarks() const { return numLandmarks_; }
+
+    /** The numLandmarks() landmark distances of detector a
+     *  (infinite where a landmark is unreachable). */
+    const float *landmarkRow(uint32_t a) const
+    {
+        return landmarks_.data() +
+               static_cast<size_t>(a) * numLandmarks_;
+    }
+
+    /** Bytes held by the table's cells and columns. */
+    size_t storageBytes() const;
+
   private:
     size_t index(uint32_t a, uint32_t b) const
     {
@@ -143,11 +174,14 @@ class PathTable
 
     void buildBoundary(const DecodingGraph &graph);
     void buildPairs(const DecodingGraph &graph);
+    void buildLandmarks(const DecodingGraph &graph);
 
     const DecodingGraph *graph_ = nullptr;
     uint32_t n = 0;
+    int numLandmarks_ = 0;
     std::vector<PathCell> cells;    //!< n x n interleaved pairs.
     std::vector<PathCell> boundary; //!< Per-detector boundary column.
+    std::vector<float> landmarks_;  //!< n x numLandmarks_ distances.
 };
 
 } // namespace qec

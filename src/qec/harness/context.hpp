@@ -37,9 +37,9 @@ class ExperimentContext
 
     /**
      * Like the main constructor, but when `deferPathTable` is true
-     * the PathTable is built with PathTable::DeferPairs: only the
-     * O(V) boundary column, no O(V²) pair half and no V per-source
-     * Dijkstras. This is the high-distance (d >= 17) configuration
+     * the PathTable is built with PathTable::DeferPairs: only O(V)
+     * boundary and landmark columns, no O(V²) pair half and no V
+     * per-source Dijkstras. This is the high-distance (d >= 17) configuration
      * for sparse-matcher stacks; dense-matcher stacks still work on
      * it (DistanceView computes gathers on the fly) but pay a
      * Dijkstra per gathered row.

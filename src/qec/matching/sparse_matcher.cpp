@@ -29,6 +29,31 @@ keepCandidate(const PathCell &cell, const PathCell &bi,
                    static_cast<double>(bj.dist);
 }
 
+/**
+ * True when some landmark column proves d(i, j) >= `sum` (=
+ * db(i) + db(j), as keepCandidate computes it) for the float cell
+ * the dense table would hold, so the pair fails keepCandidate
+ * without a search. The slack term absorbs every rounding step
+ * (header: landmark bound under float narrowing). An infinite
+ * column entry on exactly one side means different components
+ * (infinite distance, never kept) and proves it; infinite on both
+ * sides gives NaN and proves nothing.
+ */
+bool
+landmarksProvePrunable(const float *li, const float *lj, int lms,
+                       double sum)
+{
+    constexpr double kSlack = 0x1p-20;
+    for (int l = 0; l < lms; ++l) {
+        const double a = li[l];
+        const double b = lj[l];
+        if (std::fabs(a - b) >= sum + kSlack * (a + b)) {
+            return true;
+        }
+    }
+    return false;
+}
+
 } // namespace
 
 void
@@ -64,35 +89,44 @@ SparseMatchingProblem::build(const PathTable &paths,
         return;
     }
 
-    // Sparse backend: truncated local growth per source. The radius
-    // db(i) + max db(j) over the remaining targets guarantees every
-    // unsettled target fails keepCandidate, so the two backends
-    // produce the identical candidate set (oracle cells are
-    // bit-identical to table cells).
+    // Sparse backend: truncated local growth per source. A target
+    // the landmarks prove prunable is not searched at all; the rest
+    // carry the bound db(i) + db(j) beyond which keepCandidate
+    // rejects them, so the oracle stops as soon as no remaining
+    // target can be kept. Both steps drop only pairs keepCandidate
+    // would drop (header: exactness), so the two backends produce
+    // the identical candidate set (oracle cells are bit-identical
+    // to table cells).
     oracle_.bind(paths.graph());
-    rt::resizeTo(suffixMax_, static_cast<size_t>(n_) + 1);
-    suffixMax_[n_] = 0.0;
-    for (int i = n_ - 1; i >= 0; --i) {
-        suffixMax_[i] = std::max(
-            suffixMax_[i + 1], static_cast<double>(bcells_[i].dist));
-    }
+    const int lms = paths.numLandmarks();
     rt::resizeTo(rowScratch_,
                  n_ > 0 ? static_cast<size_t>(n_) : 0);
     for (int i = 0; i < n_; ++i) {
         rt::pushBack(offsets_,
-                 static_cast<int32_t>(cands_.size()));
-        const int targets = n_ - 1 - i;
-        if (targets == 0) {
+                     static_cast<int32_t>(cands_.size()));
+        const float *li = paths.landmarkRow(defects_[i]);
+        targetDets_.clear();
+        targetBounds_.clear();
+        targetLocal_.clear();
+        for (int j = i + 1; j < n_; ++j) {
+            const double sum =
+                static_cast<double>(bcells_[i].dist) +
+                static_cast<double>(bcells_[j].dist);
+            if (landmarksProvePrunable(
+                    li, paths.landmarkRow(defects_[j]), lms, sum)) {
+                continue;
+            }
+            rt::pushBack(targetDets_, defects_[j]);
+            rt::pushBack(targetBounds_, sum);
+            rt::pushBack(targetLocal_, static_cast<int32_t>(j));
+        }
+        if (targetDets_.empty()) {
             continue;
         }
-        const double radius =
-            static_cast<double>(bcells_[i].dist) + suffixMax_[i + 1];
-        oracle_.grow(
-            defects_[i],
-            std::span<const uint32_t>(defects_).subspan(i + 1),
-            radius, rowScratch_.data());
-        for (int k = 0; k < targets; ++k) {
-            const int j = i + 1 + k;
+        oracle_.grow(defects_[i], targetDets_, targetBounds_,
+                     rowScratch_.data());
+        for (size_t k = 0; k < targetDets_.size(); ++k) {
+            const int j = targetLocal_[k];
             const PathCell &cell = rowScratch_[k];
             if (keepCandidate(cell, bcells_[i], bcells_[j])) {
                 rt::pushBack(cands_, {j, cell});

@@ -21,12 +21,47 @@
  * finite (an infinite bound keeps every finite pair). So the pruned
  * problem has the same optimal total weight as the dense problem
  * (the chosen mates may differ between equal-weight optima, as with
- * any exact solver). Each
- * source's growth radius is db(i) plus the largest boundary
- * distance among its remaining targets, so every target left
- * unsettled at the radius is provably prunable. When boundary
- * distances are infinite no pruning applies and the growth runs to
- * exhaustion — the matcher degrades to exact dense behavior.
+ * any exact solver). The rule is applied to the float cell c(i, j)
+ * against S = double(db(i)) + double(db(j)): keep iff c < S.
+ *
+ * On a deferred table the build finds the kept pairs without
+ * settling every target, by two further cuts that each drop only
+ * pairs with c >= S. Write D for a Dijkstra label (a double sum
+ * along some path), δ for the exact real distance, and e = 2^-23.
+ *
+ * 1. Landmark bound under float narrowing. A landmark column holds
+ *    a = float(D_L(i)), b = float(D_L(j)). Every label is a
+ *    left-to-right double sum of positive weights over at most V
+ *    edges, so D is within a factor (1 ± V·2^-53) of δ, and the
+ *    float store adds one more factor (1 ± 2^-24); for V < 2^28
+ *    both together stay within (1 ± e). So δ_L(i) >= a(1 - e) and
+ *    δ_L(j) <= b(1 + 2e) (and symmetrically). The triangle
+ *    inequality δ(i, j) >= |δ_L(i) - δ_L(j)| then gives
+ *    δ(i, j) >= |a - b| - 2e(a + b), and the stored cell obeys
+ *    c >= (1 - e)·δ(i, j) >= |a - b| - 3e(a + b). The build drops j
+ *    when |a - b| >= S + 2^-20·(a + b) for some landmark, evaluated
+ *    in double: 2^-20 is more than 3e plus the evaluation's own
+ *    rounding, so c >= S holds. If exactly one of a, b is infinite,
+ *    i and j lie in different components, c is infinite, and the
+ *    test (inf >= inf) drops it rightly; both infinite gives NaN
+ *    and drops nothing. The boundary column gives no extra cut:
+ *    |db(i) - db(j)| >= db(i) + db(j) needs a zero boundary
+ *    distance, so it is not tested.
+ * 2. Per-target stop. The surviving targets go to one
+ *    DistanceOracle::grow with bound S each. The oracle stops only
+ *    when the popped distance, narrowed to float, exceeds the
+ *    largest bound among unsettled targets; each such target's
+ *    float cell is then > its S and is dropped (distance_oracle.hpp
+ *    gives the argument), while every target with c <= S settles
+ *    and is tested exactly as the dense backend tests it.
+ * 3. The oracle pops the same (distance, node) sequence as the
+ *    dense table's heap (the bucket-order argument in
+ *    distance_oracle.hpp), so every settled cell is bit-identical
+ *    to the table's.
+ *
+ * When boundary distances are infinite no pruning applies and the
+ * growth runs to exhaustion — the matcher degrades to exact dense
+ * behavior.
  *
  * Two interchangeable distance backends feed the same build: with a
  * dense PathTable the problem reads table rows on demand (no S×S
@@ -111,7 +146,9 @@ class SparseMatchingProblem
     std::vector<PathCell> bcells_;    //!< Boundary column cells.
     std::vector<int32_t> offsets_;    //!< n+1 CSR offsets.
     std::vector<SparseCandidate> cands_;
-    std::vector<double> suffixMax_;   //!< Boundary-dist suffix max.
+    std::vector<uint32_t> targetDets_; //!< Oracle targets of one i.
+    std::vector<double> targetBounds_; //!< Their keep bounds.
+    std::vector<int32_t> targetLocal_; //!< Their local indices.
     std::vector<PathCell> rowScratch_;
     DistanceOracle oracle_;           //!< Lazy distance backend.
 };

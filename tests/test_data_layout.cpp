@@ -96,7 +96,8 @@ expectCsrMatchesReference(const DecodingGraph &graph)
                 << det << "," << o;
         }
         // The pair CSR is the same row with boundary edges
-        // filtered, preserving order, with matching neighbors.
+        // filtered, preserving order, with matching neighbors and
+        // bit-copied double weights.
         size_t p = 0;
         for (uint32_t eid : row) {
             const GraphEdge &edge = graph.edges()[eid];
@@ -108,6 +109,8 @@ expectCsrMatchesReference(const DecodingGraph &graph)
             EXPECT_EQ(half.edgeId, eid);
             EXPECT_EQ(half.neighbor,
                       edge.u == det ? edge.v : edge.u);
+            EXPECT_EQ(graph.pairWeights(det)[p], edge.weight);
+            EXPECT_LE(edge.weight, graph.maxPairWeight());
             ++p;
         }
         EXPECT_EQ(p, graph.pairNeighbors(det).size()) << det;

@@ -147,5 +147,44 @@ TEST(PathTable, SurfaceGraphBoundaryReachableEverywhere)
     }
 }
 
+TEST(PathTable, DeferredTableKeepsLandmarkColumns)
+{
+    // A DeferPairs table keeps the boundary column plus kLandmarks
+    // float landmark columns: each landmark sits at distance 0 in
+    // its own column, every column obeys the triangle inequality
+    // against the dense pair distances, and storageBytes() counts
+    // exactly the cells and columns of either mode.
+    const auto &ctx = ExperimentContext::get(5, 1e-3);
+    const PathTable &dense = ctx.paths();
+    const PathTable deferred(ctx.graph(), PathTable::DeferPairs{});
+    const uint32_t n = ctx.graph().numDetectors();
+    const int lms = deferred.numLandmarks();
+    ASSERT_EQ(lms, PathTable::kLandmarks);
+    EXPECT_EQ(dense.numLandmarks(), 0);
+    EXPECT_EQ(deferred.storageBytes(),
+              n * sizeof(PathCell) + n * lms * sizeof(float));
+    EXPECT_EQ(dense.storageBytes(),
+              (static_cast<size_t>(n) * n + n) * sizeof(PathCell));
+    for (int l = 0; l < lms; ++l) {
+        int at_zero = 0;
+        for (uint32_t v = 0; v < n; ++v) {
+            at_zero += deferred.landmarkRow(v)[l] == 0.0f;
+        }
+        EXPECT_GE(at_zero, 1) << "landmark " << l;
+    }
+    for (uint32_t i = 0; i < n; ++i) {
+        for (uint32_t j = 0; j < n; ++j) {
+            for (int l = 0; l < lms; ++l) {
+                const double a = deferred.landmarkRow(i)[l];
+                const double b = deferred.landmarkRow(j)[l];
+                // Slack for the float columns' rounding.
+                ASSERT_LE(std::fabs(a - b),
+                          dense.dist(i, j) + 1e-6 * (a + b))
+                    << i << "," << j << " landmark " << l;
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace qec

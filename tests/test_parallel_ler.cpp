@@ -19,10 +19,12 @@
 
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qec/api/registry.hpp"
 #include "qec/decoders/factory.hpp"
+#include "qec/graph/path_table.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
 #include "qec/harness/ler_estimator.hpp"
@@ -126,13 +128,21 @@ TEST(ParallelLer, EstimateIsBitIdenticalAcrossThreadCounts)
     // The determinism suite: promatch+astrea, astrea_g, mwpm and
     // the pinball+* stacks at d = 5 must produce bit-identical
     // LerEstimates for threads in {1, 2, 8} and for the 0 =
-    // hardware-concurrency default.
+    // hardware-concurrency default. promatch+sparse also runs on a
+    // DeferPairs table, where every worker grows its own oracle over
+    // the shared graph and landmark columns.
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    for (const char *spec :
-         {"promatch+astrea", "astrea_g", "mwpm", "pinball+mwpm",
-          "pinball+astrea"}) {
-        auto decoder = build(DecoderSpec::parse(spec),
-                             ctx.graph(), ctx.paths());
+    const PathTable deferred(ctx.graph(), PathTable::DeferPairs{});
+    const std::pair<const char *, const PathTable *> cases[] = {
+        {"promatch+astrea", &ctx.paths()},
+        {"astrea_g", &ctx.paths()},
+        {"mwpm", &ctx.paths()},
+        {"pinball+mwpm", &ctx.paths()},
+        {"pinball+astrea", &ctx.paths()},
+        {"promatch+sparse", &deferred}};
+    for (const auto &[spec, paths] : cases) {
+        auto decoder =
+            build(DecoderSpec::parse(spec), ctx.graph(), *paths);
         LerOptions options;
         options.kMax = 6;
         options.samplesPerK = 200;
@@ -143,9 +153,11 @@ TEST(ParallelLer, EstimateIsBitIdenticalAcrossThreadCounts)
             options.threads = threads;
             const LerEstimate est =
                 estimateLer(ctx, *decoder, options);
-            expectSameEstimate(reference, est,
-                               std::string(spec) + " threads=" +
-                                   std::to_string(threads));
+            expectSameEstimate(
+                reference, est,
+                std::string(spec) +
+                    (paths->pairsAvailable() ? "" : " (deferred)") +
+                    " threads=" + std::to_string(threads));
         }
     }
 }

@@ -11,7 +11,11 @@
  *  - backend bit-identity: the dense-table-backed and the
  *    DeferPairs/Dijkstra-backed builds of SparseMatchingProblem
  *    must produce the identical candidate sets, solutions, and
- *    predicted observables;
+ *    predicted observables, on surface codes up to d = 13 and on
+ *    random DEMs with a disconnected component and near-zero
+ *    weights;
+ *  - DistanceOracle rebinding when a new graph reuses the old
+ *    one's address;
  *  - the deferred DistanceView gather (the path Promatch Step 3
  *    takes at d = 21) is a bit-copy of the dense table;
  *  - LER parity between the `sparse` and `mwpm` decoders;
@@ -24,6 +28,8 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +38,7 @@
 #include "qec/decoders/factory.hpp"
 #include "qec/decoders/workspace.hpp"
 #include "qec/graph/decoding_graph.hpp"
+#include "qec/graph/distance_oracle.hpp"
 #include "qec/graph/distance_view.hpp"
 #include "qec/graph/path_table.hpp"
 #include "qec/harness/context.hpp"
@@ -47,37 +54,54 @@ namespace qec
 namespace
 {
 
-/** Random connected-ish graphlike DEM with boundary edges (the
- *  test_data_layout idiom). */
+/**
+ * Random connected-ish graphlike DEM with boundary edges (the
+ * test_data_layout idiom). The last `island` detectors form a second
+ * component with no edge to the first, so distances (and landmark
+ * distances) across the two are infinite. With `nearHalf` every
+ * probability lies in (0.4, 0.5), skewed toward 0.5: edge weights
+ * span 0.41 down to ~4e-7, most of them below the oracle's bucket
+ * width, so many relaxations take its late-arrival heap.
+ */
 GraphlikeDem
-randomDem(Rng &rng, uint32_t num_detectors)
+randomDem(Rng &rng, uint32_t num_detectors, uint32_t island = 0,
+          bool nearHalf = false)
 {
     GraphlikeDem dem;
     dem.numDetectors = num_detectors;
     dem.numObservables = 2;
     const auto random_prob = [&] {
+        if (nearHalf) {
+            const double r = rng.nextDouble();
+            return 0.4999999 - 0.0999999 * r * r * r;
+        }
         return 0.005 + 0.4 * rng.nextDouble();
     };
-    for (uint32_t v = 1; v < num_detectors; ++v) {
-        dem.edges.push_back(
-            {v - 1, v, rng.next64() & 3, random_prob()});
-    }
-    const uint32_t chords = num_detectors * 2;
-    for (uint32_t c = 0; c < chords; ++c) {
-        const uint32_t a = static_cast<uint32_t>(
-            rng.next64() % num_detectors);
-        const uint32_t b = static_cast<uint32_t>(
-            rng.next64() % num_detectors);
-        if (a == b) {
-            continue;
+    const auto component = [&](uint32_t first, uint32_t size) {
+        for (uint32_t v = first + 1; v < first + size; ++v) {
+            dem.edges.push_back(
+                {v - 1, v, rng.next64() & 3, random_prob()});
         }
-        dem.edges.push_back(
-            {std::min(a, b), std::max(a, b), rng.next64() & 3,
-             random_prob()});
-    }
-    for (uint32_t v = 0; v < num_detectors; v += 3) {
-        dem.edges.push_back(
-            {v, kBoundary, rng.next64() & 1, random_prob()});
+        const uint32_t chords = size * 2;
+        for (uint32_t c = 0; c < chords; ++c) {
+            const uint32_t a =
+                first + static_cast<uint32_t>(rng.next64() % size);
+            const uint32_t b =
+                first + static_cast<uint32_t>(rng.next64() % size);
+            if (a == b) {
+                continue;
+            }
+            dem.edges.push_back({std::min(a, b), std::max(a, b),
+                                 rng.next64() & 3, random_prob()});
+        }
+        for (uint32_t v = first; v < first + size; v += 3) {
+            dem.edges.push_back(
+                {v, kBoundary, rng.next64() & 1, random_prob()});
+        }
+    };
+    component(0, num_detectors - island);
+    if (island > 0) {
+        component(num_detectors - island, island);
     }
     return dem;
 }
@@ -231,65 +255,141 @@ TEST(SparseMatch, MatchesBlossomOnRandomDems)
     }
 }
 
+/**
+ * The Dijkstra-backed build (DeferPairs table) must reproduce the
+ * dense-table-backed build exactly: same candidate sets (cells
+ * bit-identical), hence the same solutions bit-for-bit.
+ */
+void
+expectDeferredMatchesTable(const PathTable &dense,
+                           const PathTable &deferred,
+                           std::span<const uint32_t> defects,
+                           const std::string &label)
+{
+    SparseMatchingProblem viaTable;
+    SparseMatchingProblem viaDijkstra;
+    SparseMatcher matcher;
+    MatchingSolution solTable;
+    MatchingSolution solDijkstra;
+    viaTable.build(dense, defects);
+    viaDijkstra.build(deferred, defects);
+    ASSERT_EQ(viaTable.size(), viaDijkstra.size()) << label;
+    for (int i = 0; i < viaTable.size(); ++i) {
+        const auto a = viaTable.candidates(i);
+        const auto b = viaDijkstra.candidates(i);
+        ASSERT_EQ(a.size(), b.size()) << label << " defect " << i;
+        for (size_t c = 0; c < a.size(); ++c) {
+            EXPECT_EQ(a[c].j, b[c].j) << label;
+            EXPECT_EQ(a[c].cell.dist, b[c].cell.dist)
+                << label; // bit-identical floats
+            EXPECT_EQ(a[c].cell.obs, b[c].cell.obs) << label;
+            EXPECT_EQ(a[c].cell.hops, b[c].cell.hops) << label;
+        }
+    }
+    matcher.solve(viaTable, solTable);
+    matcher.solve(viaDijkstra, solDijkstra);
+    EXPECT_EQ(solTable.valid, solDijkstra.valid) << label;
+    EXPECT_EQ(solTable.mate, solDijkstra.mate) << label;
+    EXPECT_EQ(solTable.totalWeight, solDijkstra.totalWeight)
+        << label; // exact ==: same cells, same order
+    if (solTable.valid) {
+        EXPECT_EQ(viaTable.solutionObs(solTable),
+                  viaDijkstra.solutionObs(solDijkstra))
+            << label;
+    }
+}
+
 TEST(SparseMatch, DeferredBackendBitIdenticalToTableBackend)
 {
-    // The Dijkstra-backed build (DeferPairs table) must reproduce
-    // the dense-table-backed build exactly: same candidate sets
-    // (cells bit-identical), hence the same solutions bit-for-bit.
-    for (int d : {5, 7, 11}) {
+    for (int d : {5, 7, 11, 13}) {
         const auto &ctx = ExperimentContext::get(d, 1e-3);
         const PathTable deferred(ctx.graph(),
                                  PathTable::DeferPairs{});
         ASSERT_FALSE(deferred.pairsAvailable());
         ASSERT_TRUE(ctx.paths().pairsAvailable());
         Rng rng(0x5a5f + static_cast<uint64_t>(d));
-        SparseMatchingProblem viaTable;
-        SparseMatchingProblem viaDijkstra;
-        SparseMatcher matcher;
-        MatchingSolution solTable;
-        MatchingSolution solDijkstra;
+        const int trials = d <= 11 ? 12 : 6;
         for (double rate : {0.002, 0.01, 0.03}) {
-            for (int t = 0; t < 12; ++t) {
+            for (int t = 0; t < trials; ++t) {
                 const std::vector<uint32_t> defects =
                     randomSyndrome(ctx.graph(), rng, rate);
-                const std::string label =
+                expectDeferredMatchesTable(
+                    ctx.paths(), deferred, defects,
                     "d=" + std::to_string(d) + " rate=" +
-                    std::to_string(rate) + " trial " +
-                    std::to_string(t);
-                viaTable.build(ctx.paths(), defects);
-                viaDijkstra.build(deferred, defects);
-                ASSERT_EQ(viaTable.size(), viaDijkstra.size())
-                    << label;
-                for (int i = 0; i < viaTable.size(); ++i) {
-                    const auto a = viaTable.candidates(i);
-                    const auto b = viaDijkstra.candidates(i);
-                    ASSERT_EQ(a.size(), b.size())
-                        << label << " defect " << i;
-                    for (size_t c = 0; c < a.size(); ++c) {
-                        EXPECT_EQ(a[c].j, b[c].j) << label;
-                        EXPECT_EQ(a[c].cell.dist, b[c].cell.dist)
-                            << label; // bit-identical floats
-                        EXPECT_EQ(a[c].cell.obs, b[c].cell.obs)
-                            << label;
-                        EXPECT_EQ(a[c].cell.hops, b[c].cell.hops)
-                            << label;
-                    }
-                }
-                matcher.solve(viaTable, solTable);
-                matcher.solve(viaDijkstra, solDijkstra);
-                EXPECT_EQ(solTable.valid, solDijkstra.valid)
-                    << label;
-                EXPECT_EQ(solTable.mate, solDijkstra.mate) << label;
-                EXPECT_EQ(solTable.totalWeight,
-                          solDijkstra.totalWeight)
-                    << label; // exact ==: same cells, same order
-                if (solTable.valid) {
-                    EXPECT_EQ(viaTable.solutionObs(solTable),
-                              viaDijkstra.solutionObs(solDijkstra))
-                        << label;
-                }
+                        std::to_string(rate) + " trial " +
+                        std::to_string(t));
             }
         }
+    }
+
+    // Random DEMs: a second component (landmark distances infinite
+    // on one or both sides of a pair), and weights down to ~4e-7
+    // (relaxations landing in the bucket being drained), on
+    // matchable syndromes and on arbitrary, possibly infeasible
+    // subsets.
+    Rng dem_rng(0x5a9d);
+    for (int round = 0; round < 4; ++round) {
+        const bool near_half = round % 2 == 1;
+        const DecodingGraph graph = DecodingGraph::fromDem(
+            randomDem(dem_rng, 60, 15, near_half));
+        const PathTable dense(graph);
+        const PathTable deferred(graph, PathTable::DeferPairs{});
+        Rng rng(0x5aae + static_cast<uint64_t>(round));
+        for (int t = 0; t < 40; ++t) {
+            std::vector<uint32_t> defects;
+            if (t % 2 == 0) {
+                defects = randomSyndrome(graph, rng, 0.1);
+            } else {
+                for (uint32_t det = 0; det < graph.numDetectors();
+                     ++det) {
+                    if (rng.nextDouble() < 0.2) {
+                        defects.push_back(det);
+                    }
+                }
+            }
+            expectDeferredMatchesTable(
+                dense, deferred, defects,
+                "dem" + std::to_string(round) +
+                    (near_half ? " near-half" : "") + " trial " +
+                    std::to_string(t));
+        }
+    }
+}
+
+TEST(SparseMatch, OracleRebindsWhenANewGraphReusesTheAddress)
+{
+    // Re-emplacing a std::optional puts a different graph at the
+    // same address. bind() must still resize its scratch for the
+    // larger graph (an out-of-bounds write otherwise, which the
+    // address-sanitizer job reports), and the rebound oracle must
+    // agree with a freshly bound one.
+    Rng dem_rng(0x5abd);
+    std::optional<DecodingGraph> graph;
+    graph.emplace(DecodingGraph::fromDem(randomDem(dem_rng, 8)));
+    const DecodingGraph *const first = &*graph;
+    DistanceOracle oracle;
+    oracle.bind(*graph);
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<uint32_t> small_targets = {1, 7};
+    const std::vector<double> small_bounds = {inf, inf};
+    PathCell small_out[2];
+    oracle.grow(0, small_targets, small_bounds, small_out);
+
+    graph.emplace(DecodingGraph::fromDem(randomDem(dem_rng, 4000)));
+    ASSERT_EQ(&*graph, first);
+    oracle.bind(*graph);
+    DistanceOracle fresh;
+    fresh.bind(*graph);
+    const std::vector<uint32_t> targets = {3999, 2000, 17, 0};
+    const std::vector<double> bounds(targets.size(), inf);
+    std::vector<PathCell> got(targets.size());
+    std::vector<PathCell> want(targets.size());
+    oracle.grow(3998, targets, bounds, got.data());
+    fresh.grow(3998, targets, bounds, want.data());
+    for (size_t k = 0; k < targets.size(); ++k) {
+        EXPECT_EQ(got[k].dist, want[k].dist) << k;
+        EXPECT_EQ(got[k].obs, want[k].obs) << k;
+        EXPECT_EQ(got[k].hops, want[k].hops) << k;
     }
 }
 

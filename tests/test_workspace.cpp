@@ -6,7 +6,8 @@
  *    (after a warmup pass over the same syndrome set) performs
  *    ZERO heap allocations for promatch+astrea, astrea_g, and
  *    mwpm — both through an explicit caller-owned workspace and
- *    through the decoder's internal one;
+ *    through the decoder's internal one — and for the sparse
+ *    stacks on a DeferPairs table as well as a dense one;
  *  - decode results are bit-identical with and without an explicit
  *    workspace, serially and through decodeBatch at threads
  *    {1, 8};
@@ -26,6 +27,7 @@
 #include <new>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qec/api/decoder_spec.hpp"
@@ -161,9 +163,29 @@ const char *const kZeroAllocSpecs[] = {"promatch+astrea",
                                        "sparse",
                                        "promatch+sparse"};
 
+/** Stacks run on a DeferPairs table as well: their distances come
+ *  from the on-demand oracle (bucket ring, landmark pruning, the
+ *  deferred DistanceView gather), which a dense table bypasses. */
+const char *const kDeferredSpecs[] = {"sparse", "promatch+sparse"};
+
+/** Every (spec, table) pair the steady-state checks cover. */
+std::vector<std::pair<const char *, const PathTable *>>
+zeroAllocCases(const ExperimentContext &ctx, const PathTable &deferred)
+{
+    std::vector<std::pair<const char *, const PathTable *>> cases;
+    for (const char *spec : kZeroAllocSpecs) {
+        cases.emplace_back(spec, &ctx.paths());
+    }
+    for (const char *spec : kDeferredSpecs) {
+        cases.emplace_back(spec, &deferred);
+    }
+    return cases;
+}
+
 TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
 {
     const auto &ctx = ExperimentContext::get(7, 1e-3);
+    const PathTable deferred(ctx.graph(), PathTable::DeferPairs{});
     const auto batch = syndromeSet(ctx);
     bool saw_high_hw = false;
     for (const auto &s : batch) {
@@ -172,9 +194,9 @@ TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
     ASSERT_TRUE(saw_high_hw)
         << "syndrome set never engages the predecoder";
 
-    for (const char *spec : kZeroAllocSpecs) {
-        auto decoder = build(DecoderSpec::parse(spec),
-                             ctx.graph(), ctx.paths());
+    for (const auto &[spec, paths] : zeroAllocCases(ctx, deferred)) {
+        auto decoder =
+            build(DecoderSpec::parse(spec), ctx.graph(), *paths);
         DecodeWorkspace workspace;
         // Warmup: every scratch buffer reaches its high-water
         // capacity for this syndrome set.
@@ -188,8 +210,8 @@ TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
         }
         const uint64_t after = g_allocations.load();
         EXPECT_EQ(after - before, 0u)
-            << spec << " allocated in steady state (sink=" << sink
-            << ")";
+            << spec << (paths->pairsAvailable() ? "" : " (deferred)")
+            << " allocated in steady state (sink=" << sink << ")";
     }
 }
 
@@ -222,6 +244,7 @@ TEST(WorkspaceZeroAlloc, DecodeBlockSteadyState)
     // gather, and the per-lane compose all draw from workspace- or
     // arena-owned scratch.
     const auto &ctx = ExperimentContext::get(7, 1e-3);
+    const PathTable deferred(ctx.graph(), PathTable::DeferPairs{});
     const auto batch = syndromeSet(ctx);
     const size_t lanes = std::min<size_t>(batch.size(), 64);
     std::vector<uint64_t> words(ctx.graph().numDetectors(), 0);
@@ -231,9 +254,9 @@ TEST(WorkspaceZeroAlloc, DecodeBlockSteadyState)
         }
     }
 
-    for (const char *spec : kZeroAllocSpecs) {
-        auto decoder = build(DecoderSpec::parse(spec),
-                             ctx.graph(), ctx.paths());
+    for (const auto &[spec, paths] : zeroAllocCases(ctx, deferred)) {
+        auto decoder =
+            build(DecoderSpec::parse(spec), ctx.graph(), *paths);
         DecodeWorkspace workspace;
         DecodeResult results[64];
         // Warmup. More than one pass: the arena coalesces overflow
@@ -250,7 +273,8 @@ TEST(WorkspaceZeroAlloc, DecodeBlockSteadyState)
                              workspace, results);
         const uint64_t after = g_allocations.load();
         EXPECT_EQ(after - before, 0u)
-            << spec << " decodeBlock allocated in steady state";
+            << spec << (paths->pairsAvailable() ? "" : " (deferred)")
+            << " decodeBlock allocated in steady state";
     }
 }
 
