@@ -27,6 +27,15 @@ struct SweepParam
     bool adaptive;
 };
 
+// Named by its fields: gtest's default byte dump would include the
+// struct's uninitialised padding, giving a different test name on
+// every run.
+void PrintTo(const SweepParam &param, std::ostream *os)
+{
+    *os << "d" << param.distance << "_p" << param.p << "_exact"
+        << param.exactSingleton << "_adaptive" << param.adaptive;
+}
+
 class PromatchSweep : public ::testing::TestWithParam<SweepParam>
 {
 };
