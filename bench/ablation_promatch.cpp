@@ -26,9 +26,9 @@ lerWithConfig(const Bench &bench, const ExperimentContext &ctx,
               const PromatchConfig &config,
               HwConditionalStats *stats)
 {
-    auto decoder = makeDecoder("promatch_astrea", ctx.graph(),
-                               ctx.paths(), LatencyConfig{},
-                               config);
+    auto decoder = build(DecoderSpec::parse("promatch+astrea"),
+                         ctx.graph(), ctx.paths(), LatencyConfig{},
+                         config);
     const LerEstimate est = estimateLer(
         ctx, *decoder, bench.lerOptions(800),
         [&](const SampleView &view) {
@@ -97,8 +97,8 @@ main(int argc, char **argv)
         // Astrea-G with an admissible bound ("smarter AG").
         LatencyConfig smart;
         smart.astreaGUseBound = true;
-        auto ag = makeDecoder("astrea_g", ctx.graph(), ctx.paths(),
-                              smart);
+        auto ag = build(DecoderSpec::parse("astrea_g"), ctx.graph(),
+                        ctx.paths(), smart);
         HwConditionalStats stats;
         const LerEstimate est = estimateLer(
             ctx, *ag, bench.lerOptions(800),
@@ -114,7 +114,8 @@ main(int argc, char **argv)
     }
     {
         auto ag =
-            makeDecoder("astrea_g", ctx.graph(), ctx.paths());
+            build(DecoderSpec::parse("astrea_g"), ctx.graph(),
+                  ctx.paths());
         HwConditionalStats stats;
         const LerEstimate est = estimateLer(
             ctx, *ag, bench.lerOptions(800),

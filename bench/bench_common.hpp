@@ -12,8 +12,8 @@
  *                      bit-identical for any value)
  *   --samples-per-k N  override the conditional sample count per k
  *                      (default: per-bench base x QEC_BENCH_SCALE)
- *   --spec S           run only the decoder config whose legacy
- *                      name or canonical spec string matches S
+ *   --spec S           run only the decoder config whose spec
+ *                      string is equivalent to S
  *   --repeat N         repeat each timed measurement N times and
  *                      report the median (committed BENCH_*.json
  *                      numbers should use N >= 3 so trajectories
@@ -49,7 +49,7 @@ struct BenchCli
     int threads = 0;
     /** Per-k sample override; 0 = bench default x scale. */
     uint64_t samplesPerK = 0;
-    /** Decoder config filter (legacy name or spec string). */
+    /** Decoder config filter (a spec string). */
     std::string spec;
     /** Timed-measurement repetitions (median is reported). */
     int repeat = 1;
@@ -150,9 +150,9 @@ class Bench
     }
 
     /**
-     * True when --spec is absent or matches `config` (either the
-     * legacy configuration name or an equivalent spec string —
-     * both sides are compared in canonical DecoderSpec form).
+     * True when --spec is absent or matches the spec string
+     * `config` (both sides are compared in canonical DecoderSpec
+     * form).
      * Benches that sweep configurations skip the others; a filter
      * that matches nothing turns finish() into a failure.
      */
@@ -166,14 +166,14 @@ class Bench
         return enabled;
     }
 
-    /** Estimate the LER of one named decoder configuration. */
+    /** Estimate the LER of one decoder configuration (a spec). */
     qec::LerEstimate
     runLer(const qec::ExperimentContext &ctx,
            const std::string &config, uint64_t base_samples,
            const qec::SampleObserver &observer = nullptr) const
     {
-        auto decoder =
-            qec::makeDecoder(config, ctx.graph(), ctx.paths());
+        auto decoder = qec::build(qec::DecoderSpec::parse(config),
+                                  ctx.graph(), ctx.paths());
         return qec::estimateLer(ctx, *decoder,
                                 lerOptions(base_samples), observer);
     }
@@ -233,17 +233,15 @@ class Bench
 
   private:
     /**
-     * Canonical spec form for filter comparison (legacy names
-     * mapped, option order normalized); unparseable input falls
-     * back to the raw string and simply matches nothing.
+     * Canonical spec form for filter comparison (option order
+     * normalized); unparseable input falls back to the raw string
+     * and simply matches nothing.
      */
     static std::string
     canonicalSpec(const std::string &text)
     {
         try {
-            return qec::DecoderSpec::parse(
-                       qec::specForName(text))
-                .toString();
+            return qec::DecoderSpec::parse(text).toString();
         } catch (const qec::SpecError &) {
             return text;
         }
@@ -344,8 +342,8 @@ class Bench
             return;
         }
         try {
-            const qec::DecoderSpec spec = qec::DecoderSpec::parse(
-                qec::specForName(cli_.spec));
+            const qec::DecoderSpec spec =
+                qec::DecoderSpec::parse(cli_.spec);
             const auto &registry =
                 qec::DecoderRegistry::instance();
             const auto check = [&](const qec::StackSpec &stack) {

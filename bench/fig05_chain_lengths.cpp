@@ -20,8 +20,8 @@ main(int argc, char **argv)
                 "MWPM chain-length distribution, d = 13");
 
     const auto &ctx = ExperimentContext::get(13, 1e-4);
-    auto mwpm = makeDecoder(bench.specOr("mwpm"), ctx.graph(),
-                            ctx.paths());
+    auto mwpm = build(DecoderSpec::parse(bench.specOr("mwpm")),
+                      ctx.graph(), ctx.paths());
 
     // Sample high-HW syndromes via k-fault injection through the
     // parallel LER engine and accumulate the chain-length histogram

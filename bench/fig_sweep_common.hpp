@@ -22,9 +22,12 @@ inline int
 runSweep(Bench &bench, int distance,
          double paper_parallel_gap_note)
 {
-    const char *configs[] = {"mwpm",          "promatch_par_ag",
-                             "promatch_astrea", "astrea_g",
-                             "smith_par_ag",  "smith_astrea"};
+    const char *configs[] = {"mwpm",
+                             "promatch+astrea||astrea_g",
+                             "promatch+astrea",
+                             "astrea_g",
+                             "smith+astrea||astrea_g",
+                             "smith+astrea"};
     const char *labels[] = {"MWPM",        "Promatch||AG",
                             "Promatch+Ast", "Astrea-G",
                             "Smith||AG",   "Smith+Ast"};

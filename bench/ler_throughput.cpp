@@ -57,8 +57,7 @@ printStageBreakdown(Bench &bench, const ExperimentContext &ctx,
                     const LerOptions &options,
                     const std::string &note_prefix = "")
 {
-    const DecoderSpec spec =
-        DecoderSpec::parse(specForName(config));
+    const DecoderSpec spec = DecoderSpec::parse(config);
     LatencyConfig latency;
     PromatchConfig promatch;
     PinballConfig pinball;
@@ -178,7 +177,8 @@ printBatchBreakdown(Bench &bench, const ExperimentContext &ctx,
                     const LerOptions &options,
                     const std::string &note_prefix = "")
 {
-    auto decoder = makeDecoder(config, ctx.graph(), ctx.paths());
+    auto decoder = build(DecoderSpec::parse(config), ctx.graph(),
+                         ctx.paths());
     ImportanceSampler sampler(ctx.dem(), options.kMax);
 
     // One fixed syndrome stream, same counter-based draws as the
@@ -316,9 +316,9 @@ printSparseHighDistance(Bench &bench, int threads)
         }
 
         auto dense_dec =
-            makeDecoder("mwpm", ctx.graph(), ctx.paths());
+            build(DecoderSpec::parse("mwpm"), ctx.graph(), ctx.paths());
         auto sparse_dec =
-            makeDecoder("sparse", ctx.graph(), deferred);
+            build(DecoderSpec::parse("sparse"), ctx.graph(), deferred);
         const auto time_stream = [&](Decoder &decoder) {
             DecodeWorkspace ws;
             for (const auto &s : stream) { // Warm the workspace.
@@ -371,7 +371,8 @@ printSparseHighDistance(Bench &bench, int threads)
     // PathTable::index() enforces it; a dense read would abort).
     const ExperimentContext d21(21, 1e-4, -1, true);
     auto decoder =
-        makeDecoder("promatch_sparse", d21.graph(), d21.paths());
+        build(DecoderSpec::parse("promatch+sparse"), d21.graph(),
+              d21.paths());
     LerOptions options;
     options.kMax = 12;
     options.samplesPerK = std::min<uint64_t>(scaledSamples(30), 60);
@@ -436,13 +437,13 @@ printPredecoderComparison(Bench &bench,
         {"stack", "LER", "engaged", "coverage",
          "local-resolve"});
     for (const char *config :
-         {"promatch_astrea", "clique_astrea", "smith_astrea",
-          "pinball_astrea", "pinball_mwpm"}) {
+         {"promatch+astrea", "clique+astrea", "smith+astrea",
+          "pinball+astrea", "pinball+mwpm"}) {
         if (!bench.specEnabled(config)) {
             continue;
         }
         auto decoder =
-            makeDecoder(config, ctx.graph(), ctx.paths());
+            build(DecoderSpec::parse(config), ctx.graph(), ctx.paths());
         double weight_total = 0.0, weight_engaged = 0.0;
         double hw_before = 0.0, hw_after = 0.0;
         double weight_local = 0.0;
@@ -492,9 +493,9 @@ main(int argc, char **argv)
 
     const auto &ctx = ExperimentContext::get(11, 1e-4);
     const std::string config =
-        bench.specOr("promatch_astrea");
+        bench.specOr("promatch+astrea");
     auto decoder =
-        makeDecoder(config, ctx.graph(), ctx.paths());
+        build(DecoderSpec::parse(config), ctx.graph(), ctx.paths());
 
     LerOptions options = bench.lerOptions(600);
     const int max_threads = options.resolvedThreads();
@@ -582,19 +583,19 @@ main(int argc, char **argv)
     // accuracy/coverage table (a --spec filter narrows the run to
     // that configuration only, so the extra breakdown is skipped).
     if (bench.cli().spec.empty()) {
-        printStageBreakdown(bench, ctx, "pinball_astrea", options,
+        printStageBreakdown(bench, ctx, "pinball+astrea", options,
                             "pinball_");
         // Pinball is the stack where the lane-parallel word kernel
         // engages (Promatch's predecoder falls back to the serial
         // per-lane loop), so its batch ratio is the one that tracks
         // the bit-parallel predecode win.
-        printBatchBreakdown(bench, ctx, "pinball_astrea", options,
+        printBatchBreakdown(bench, ctx, "pinball+astrea", options,
                             "pinball_");
         // Sparse-matcher stack at the same d = 11 operating point:
         // its stage_match_share is the headline the sparse matching
         // core is accountable for (compared against the dense
         // stack's stage_match_share by CI's bench-smoke guard).
-        printStageBreakdown(bench, ctx, "promatch_sparse", options,
+        printStageBreakdown(bench, ctx, "promatch+sparse", options,
                             "sparse_");
         // The exact dense matcher behind the same predecoder is the
         // apples-to-apples baseline the sparse core replaces (the

@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include "qec/qec.hpp"
+#include "qec/util/parallel_for.hpp"
 
 using namespace qec;
 
@@ -80,13 +81,15 @@ void
 decoderBench(benchmark::State &state, const char *name)
 {
     const auto &ctx = ExperimentContext::get(13, 1e-4);
-    auto decoder = makeDecoder(name, ctx.graph(), ctx.paths());
+    auto decoder = build(DecoderSpec::parse(name), ctx.graph(),
+                         ctx.paths());
     const auto syndromes = sampleSyndromes(
         ctx, static_cast<int>(state.range(0)), 64);
+    DecodeWorkspace workspace;
     size_t i = 0;
     for (auto _ : state) {
-        const DecodeResult result =
-            decoder->decode(syndromes[i++ % syndromes.size()]);
+        const DecodeResult result = decoder->decode(
+            syndromes[i++ % syndromes.size()], workspace);
         benchmark::DoNotOptimize(result.predictedObs);
     }
     state.SetItemsProcessed(state.iterations());
@@ -102,7 +105,7 @@ BENCHMARK(BM_DecodeMwpm)->Arg(4)->Arg(8)->Arg(16);
 void
 BM_DecodePromatchAstrea(benchmark::State &state)
 {
-    decoderBench(state, "promatch_astrea");
+    decoderBench(state, "promatch+astrea");
 }
 BENCHMARK(BM_DecodePromatchAstrea)->Arg(4)->Arg(8)->Arg(16);
 
@@ -123,17 +126,31 @@ BENCHMARK(BM_DecodeUnionFind)->Arg(4)->Arg(8)->Arg(16);
 void
 BM_DecodeBatchThreads(benchmark::State &state)
 {
-    // Threaded batch decode over per-worker clones: the scaling
-    // knob behind LerOptions::threads.
+    // Threaded batch decode over per-worker clones and workspaces
+    // (WorkerDecoders + parallelFor): the scaling knob behind
+    // LerOptions::threads.
     const auto &ctx = ExperimentContext::get(13, 1e-4);
     auto decoder =
-        makeDecoder("promatch_astrea", ctx.graph(), ctx.paths());
+        build(DecoderSpec::parse("promatch+astrea"), ctx.graph(),
+              ctx.paths());
     const auto batch = sampleSyndromes(ctx, 10, 256);
     const int threads = static_cast<int>(state.range(0));
+    const WorkerDecoders engines(
+        *decoder, parallelWorkers(batch.size(), threads));
+    std::vector<DecodeResult> results(batch.size());
     for (auto _ : state) {
-        const auto results =
-            decoder->decodeBatch(batch, nullptr, threads);
+        parallelFor(batch.size(), threads,
+                    [&](size_t begin, size_t end, int worker) {
+                        Decoder *engine = engines.engine(worker);
+                        DecodeWorkspace &workspace =
+                            engines.workspace(worker);
+                        for (size_t i = begin; i < end; ++i) {
+                            results[i] =
+                                engine->decode(batch[i], workspace);
+                        }
+                    });
         benchmark::DoNotOptimize(results.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(batch.size()));

@@ -38,13 +38,13 @@ struct Row
 // prints "-" there.
 constexpr Row kRows[] = {
     {"mwpm", "MWPM (Ideal)", 1.8e-13, 3.4e-15},
-    {"promatch_par_ag", "Promatch || AG", 1.8e-13, 3.4e-15},
-    {"promatch_astrea", "Promatch + Astrea", 4.5e-13, 2.6e-14},
+    {"promatch+astrea||astrea_g", "Promatch || AG", 1.8e-13, 3.4e-15},
+    {"promatch+astrea", "Promatch + Astrea", 4.5e-13, 2.6e-14},
     {"astrea_g", "Astrea-G (AG)", 4.5e-13, 1.4e-13},
-    {"smith_par_ag", "Smith || AG", 2.5e-13, 1.5e-14},
-    {"smith_astrea", "Smith + Astrea", 4.4e-11, 6.9e-11},
-    {"pinball_par_ag", "Pinball || AG", 0.0, 0.0},
-    {"pinball_astrea", "Pinball + Astrea", 0.0, 0.0},
+    {"smith+astrea||astrea_g", "Smith || AG", 2.5e-13, 1.5e-14},
+    {"smith+astrea", "Smith + Astrea", 4.4e-11, 6.9e-11},
+    {"pinball+astrea||astrea_g", "Pinball || AG", 0.0, 0.0},
+    {"pinball+astrea", "Pinball + Astrea", 0.0, 0.0},
 };
 
 struct Measured

@@ -40,9 +40,9 @@ main(int argc, char **argv)
 
     for (const auto &row : rows) {
         const auto &ctx = ExperimentContext::get(row.d, 1e-4);
-        auto decoder = makeDecoder(
-            bench.specOr("promatch_astrea"), ctx.graph(),
-            ctx.paths());
+        auto decoder = build(
+            DecoderSpec::parse(bench.specOr("promatch+astrea")),
+            ctx.graph(), ctx.paths());
 
         // High-HW latency statistics ride on the parallel LER
         // engine's trace observer; samples replay in a fixed order,

@@ -36,9 +36,9 @@ main(int argc, char **argv)
     for (int di = 0; di < 2; ++di) {
         const int d = di == 0 ? 11 : 13;
         const auto &ctx = ExperimentContext::get(d, 1e-4);
-        auto decoder = makeDecoder(
-            bench.specOr("promatch_astrea"), ctx.graph(),
-            ctx.paths());
+        auto decoder = build(
+            DecoderSpec::parse(bench.specOr("promatch+astrea")),
+            ctx.graph(), ctx.paths());
 
         // Step usage rides on the parallel LER engine's trace
         // observer over the high-HW population.

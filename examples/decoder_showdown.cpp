@@ -38,14 +38,23 @@ main(int argc, char **argv)
         "Decoder showdown (identical syndrome stream)",
         {"decoder", "errors", "aborts", "avg latency", "max "
          "latency", "avg weight"});
-    for (const std::string &name : qec::decoderNames()) {
-        auto decoder =
-            qec::makeDecoder(name, ctx.graph(), ctx.paths());
+    qec::DecodeWorkspace workspace;
+    // Every main decoder alone, and each predecoder stack the paper
+    // evaluates or the registry adds.
+    for (const char *spec :
+         {"mwpm", "sparse", "astrea", "astrea_g", "union_find",
+          "promatch+astrea", "smith+astrea", "clique+astrea",
+          "hierarchical+astrea", "clique+mwpm", "clique+astrea_g",
+          "promatch+astrea||astrea_g", "smith+astrea||astrea_g",
+          "promatch+sparse", "pinball+sparse", "pinball+astrea",
+          "pinball+mwpm", "pinball+astrea||astrea_g"}) {
+        auto decoder = qec::build(qec::DecoderSpec::parse(spec),
+                                  ctx.graph(), ctx.paths());
         int errors = 0, aborts = 0;
         qec::WeightedStats latency, weight;
         for (const auto &sample : stream) {
             const qec::DecodeResult result =
-                decoder->decode(sample.defects);
+                decoder->decode(sample.defects, workspace);
             if (result.aborted) {
                 ++aborts;
                 ++errors;

@@ -51,6 +51,9 @@ main(int argc, char **argv)
     std::printf("\nFirst 8 sampled shots through %s (spec \"%s\"):\n",
                 decoder->name().c_str(), spec.toString().c_str());
     std::vector<uint32_t> defects; // Reused across lanes.
+    // Per-decode scratch, reused so steady-state decoding does not
+    // allocate.
+    qec::DecodeWorkspace workspace;
     for (int lane = 0; lane < 8; ++lane) {
         // Popcount-proportional extraction (see bitvec.hpp) — the
         // same idiom the direct-MC harness uses on its hot path.
@@ -58,7 +61,7 @@ main(int argc, char **argv)
         batch.detectorBits(lane).forEachSetBit(
             [&](uint32_t det) { defects.push_back(det); });
         const qec::DecodeResult result =
-            decoder->decode(defects);
+            decoder->decode(defects, workspace);
         const bool ok = !result.aborted &&
                         result.predictedObs ==
                             batch.observableMask(lane);

@@ -209,14 +209,6 @@ DecoderRegistry::buildPredecoder(const std::string &name,
 
 void
 applySpecOptions(const std::map<std::string, std::string> &options,
-                 LatencyConfig &latency, PromatchConfig &promatch)
-{
-    PinballConfig pinball;
-    applySpecOptions(options, latency, promatch, pinball);
-}
-
-void
-applySpecOptions(const std::map<std::string, std::string> &options,
                  LatencyConfig &latency, PromatchConfig &promatch,
                  PinballConfig &pinball)
 {
@@ -290,6 +282,24 @@ applySpecOptions(const std::map<std::string, std::string> &options,
         } else {
             throw SpecError("unknown spec option '" + key + "'");
         }
+    }
+    // Whole-model guards: the options interact, so check the
+    // result, not each key. The pipelines cast the cycle budget to
+    // long long.
+    if (latency.astreaMaxHw > LatencyConfig::kMaxAstreaHw) {
+        throw SpecError("option 'hw_threshold' must be at most " +
+                        std::to_string(LatencyConfig::kMaxAstreaHw) +
+                        ", got " +
+                        std::to_string(latency.astreaMaxHw));
+    }
+    const double budget_cycles =
+        latency.effectiveBudgetNs() / latency.nsPerCycle;
+    if (!(budget_cycles > 0.0 && budget_cycles < 0x1p63)) {
+        throw SpecError(
+            "options budget_ns, compare_cycles and ns_per_cycle "
+            "must leave a positive cycle budget that fits in a "
+            "long long, got " +
+            std::to_string(budget_cycles) + " cycles");
     }
 }
 

@@ -11,7 +11,7 @@
  *                "promatch+astrea||astrea_g?hw_threshold=10"),
  *            ctx.graph(), ctx.paths());
  *
- * Adding a new component never touches this file or the factory: a
+ * Adding a new component never touches this file: a
  * new predecoder drops one .cpp with a registration object and is
  * immediately reachable from every spec string (recipe in
  * docs/api.md). The registry is guarded by a mutex, so concurrent
@@ -119,17 +119,16 @@ std::unique_ptr<Decoder> build(const DecoderSpec &spec,
 /**
  * Apply spec option overrides onto config copies; exposed so
  * harnesses can resolve the effective configs without building.
- * Throws SpecError on unknown keys or unparseable values.
+ * Throws SpecError on unknown keys, unparseable values, or a
+ * resulting latency model the decoders cannot evaluate: an
+ * hw_threshold above 34 (Astrea's pairing count would overflow) or
+ * a cycle budget (effective budget / ns_per_cycle) that is not
+ * positive or does not fit in a long long.
  */
 void applySpecOptions(const std::map<std::string, std::string> &options,
                       LatencyConfig &latency,
                       PromatchConfig &promatch,
                       PinballConfig &pinball);
-
-/** Convenience overload discarding the Pinball config. */
-void applySpecOptions(const std::map<std::string, std::string> &options,
-                      LatencyConfig &latency,
-                      PromatchConfig &promatch);
 
 /** Self-registration handle for main decoders. */
 struct DecoderRegistration

@@ -15,7 +15,9 @@
 #ifndef QEC_CIRCUIT_CIRCUIT_HPP
 #define QEC_CIRCUIT_CIRCUIT_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -126,7 +128,32 @@ class Circuit
 /** Serialize to the line-oriented text format (see circuit_text.cpp). */
 std::string circuitToText(const Circuit &circuit);
 
-/** Parse the text format; fatal on malformed input. */
+/** Malformed circuit text; what() names the offending line. */
+class CircuitTextError : public std::runtime_error
+{
+  public:
+    CircuitTextError(size_t line, const std::string &message)
+        : std::runtime_error("circuit text line " +
+                             std::to_string(line) + ": " + message),
+          line_(line)
+    {
+    }
+
+    /** 1-based number of the offending input line. */
+    size_t line() const { return line_; }
+
+  private:
+    size_t line_;
+};
+
+/**
+ * Parse the text format. Throws CircuitTextError on malformed
+ * input: an unknown instruction, a missing or repeated QUBITS line,
+ * an unparseable target or argument, a probability outside [0, 1],
+ * an odd CX / DEPOLARIZE2 target count, a qubit index out of range,
+ * an observable index of 64 or more, or a DETECTOR / OBSERVABLE
+ * reference to a measurement that has not happened yet.
+ */
 Circuit circuitFromText(const std::string &text);
 
 } // namespace qec

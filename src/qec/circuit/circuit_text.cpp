@@ -18,10 +18,10 @@
 
 #include "qec/circuit/circuit.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
-
-#include "qec/util/assert.hpp"
+#include <string_view>
 
 namespace qec
 {
@@ -35,6 +35,16 @@ formatArg(double arg)
     char buf[40];
     std::snprintf(buf, sizeof buf, "%.12g", arg);
     return buf;
+}
+
+/** Whole-token parse: no sign, no trailing characters. */
+template <class T>
+bool
+parseNumber(std::string_view text, T &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return !text.empty() && ec == std::errc() && ptr == end;
 }
 
 } // namespace
@@ -66,8 +76,13 @@ circuitFromText(const std::string &text)
     Circuit circuit;
     std::istringstream in(text);
     std::string line;
+    size_t line_no = 0;
     bool saw_qubits = false;
     while (std::getline(in, line)) {
+        ++line_no;
+        const auto fail = [line_no](const std::string &message) {
+            throw CircuitTextError(line_no, message);
+        };
         // Strip comments and whitespace-only lines.
         const size_t hash = line.find('#');
         if (hash != std::string::npos) {
@@ -78,69 +93,123 @@ circuitFromText(const std::string &text)
         if (!(ls >> head)) {
             continue;
         }
+        std::vector<uint32_t> targets;
+        for (std::string token; ls >> token;) {
+            uint32_t t = 0;
+            if (!parseNumber(token, t)) {
+                fail("target '" + token +
+                     "' is not a non-negative integer");
+            }
+            targets.push_back(t);
+        }
 
         if (head == "QUBITS") {
-            uint32_t n = 0;
-            if (!(ls >> n)) {
-                QEC_FATAL("QUBITS line missing count");
+            if (saw_qubits) {
+                fail("repeated QUBITS line");
             }
-            circuit.setNumQubits(n);
+            if (targets.size() != 1) {
+                fail("QUBITS takes exactly one qubit count");
+            }
+            circuit.setNumQubits(targets[0]);
             saw_qubits = true;
             continue;
         }
         if (!saw_qubits) {
-            QEC_FATAL("circuit text must start with a QUBITS line");
+            fail("circuit text must start with a QUBITS line");
         }
 
-        // Split "NAME(arg)" into name and argument.
-        double arg = 0.0;
-        uint32_t obs_id = 0;
+        // Split "NAME(arg)" into name and argument text.
         std::string name = head;
+        std::string_view arg_text;
         const size_t paren = head.find('(');
-        if (paren != std::string::npos) {
-            name = head.substr(0, paren);
-            const std::string arg_text =
-                head.substr(paren + 1, head.size() - paren - 2);
-            if (name == "OBSERVABLE") {
-                obs_id = static_cast<uint32_t>(std::stoul(arg_text));
-            } else {
-                arg = std::stod(arg_text);
+        const bool has_arg = paren != std::string::npos;
+        if (has_arg) {
+            if (head.back() != ')') {
+                fail("unterminated argument in '" + head + "'");
             }
+            name = head.substr(0, paren);
+            arg_text = std::string_view(head).substr(
+                paren + 1, head.size() - paren - 2);
         }
-
-        std::vector<uint32_t> targets;
-        uint32_t t;
-        while (ls >> t) {
-            targets.push_back(t);
-        }
+        const auto probability = [&]() {
+            double p = 0.0;
+            if (has_arg && (!parseNumber(arg_text, p) ||
+                            !(p >= 0.0 && p <= 1.0))) {
+                fail(name + " probability must be a number in "
+                            "[0, 1], got '" +
+                     std::string(arg_text) + "'");
+            }
+            return p;
+        };
+        const auto no_arg = [&]() {
+            if (has_arg) {
+                fail(name + " takes no argument");
+            }
+        };
+        const auto qubits =
+            [&](bool pairs) -> const std::vector<uint32_t> & {
+            if (pairs && targets.size() % 2 != 0) {
+                fail(name + " needs an even number of targets");
+            }
+            for (uint32_t q : targets) {
+                if (q >= circuit.numQubits()) {
+                    fail("qubit " + std::to_string(q) +
+                         " is out of range");
+                }
+            }
+            return targets;
+        };
+        const auto records = [&]() -> const std::vector<uint32_t> & {
+            for (uint32_t rec : targets) {
+                if (rec >= circuit.numMeasurements()) {
+                    fail("measurement " + std::to_string(rec) +
+                         " has not happened yet");
+                }
+            }
+            return targets;
+        };
 
         if (name == "R") {
-            circuit.appendReset(targets);
+            no_arg();
+            circuit.appendReset(qubits(false));
         } else if (name == "H") {
-            circuit.appendH(targets);
+            no_arg();
+            circuit.appendH(qubits(false));
         } else if (name == "CX") {
-            circuit.appendCx(targets);
+            no_arg();
+            circuit.appendCx(qubits(true));
         } else if (name == "M") {
-            circuit.appendMeasure(targets, arg);
+            circuit.appendMeasure(qubits(false), probability());
         } else if (name == "X_ERROR") {
-            circuit.appendXError(targets, arg);
+            circuit.appendXError(qubits(false), probability());
         } else if (name == "Z_ERROR") {
-            circuit.appendZError(targets, arg);
+            circuit.appendZError(qubits(false), probability());
         } else if (name == "DEPOLARIZE1") {
-            circuit.appendDepolarize1(targets, arg);
+            circuit.appendDepolarize1(qubits(false), probability());
         } else if (name == "DEPOLARIZE2") {
-            circuit.appendDepolarize2(targets, arg);
+            circuit.appendDepolarize2(qubits(true), probability());
         } else if (name == "TICK") {
+            no_arg();
+            if (!targets.empty()) {
+                fail("TICK takes no targets");
+            }
             circuit.appendTick();
         } else if (name == "DETECTOR") {
-            circuit.appendDetector(targets);
+            no_arg();
+            circuit.appendDetector(records());
         } else if (name == "OBSERVABLE") {
-            circuit.appendObservable(obs_id, targets);
+            // Observables are bits of a 64-bit mask downstream.
+            uint32_t id = 0;
+            if (has_arg && (!parseNumber(arg_text, id) || id >= 64)) {
+                fail("observable index must be an integer in "
+                     "[0, 64), got '" +
+                     std::string(arg_text) + "'");
+            }
+            circuit.appendObservable(id, records());
         } else {
-            QEC_FATAL("unknown instruction in circuit text");
+            fail("unknown instruction '" + name + "'");
         }
     }
-    circuit.validate();
     return circuit;
 }
 

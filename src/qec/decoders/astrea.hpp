@@ -28,7 +28,6 @@ class AstreaDecoder : public Decoder
     {
     }
 
-    using Decoder::decode;
     DecodeResult decode(std::span<const uint32_t> defects,
                         DecodeWorkspace &workspace,
                         DecodeTrace *trace = nullptr) override;

@@ -36,7 +36,6 @@ class AstreaGDecoder : public Decoder
      * truncation) land in DecodeTrace::searchStates /
      * searchTruncated.
      */
-    using Decoder::decode;
     DecodeResult decode(std::span<const uint32_t> defects,
                         DecodeWorkspace &workspace,
                         DecodeTrace *trace = nullptr) override;

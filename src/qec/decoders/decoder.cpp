@@ -3,22 +3,11 @@
 #include "qec/decoders/workspace.hpp"
 #include "qec/util/assert.hpp"
 #include "qec/util/bitvec.hpp"
-#include "qec/util/parallel_for.hpp"
 #include "qec/util/realtime.hpp"
 #include "qec/util/rt_grow.hpp"
 
 namespace qec
 {
-
-// Out of line: DecodeWorkspace is only forward-declared in the
-// header, so the unique_ptr needs the full type here.
-Decoder::Decoder(const DecodingGraph &graph,
-                 const PathTable &paths)
-    : graph_(graph), paths_(paths)
-{
-}
-
-Decoder::~Decoder() = default;
 
 // Outlined so the audited decode bodies carry one call to a symbol
 // the allowlist exempts: clearing `children` destroys whole child
@@ -40,22 +29,6 @@ DecodeTrace::reset()
     chainLengths.clear();
     correctionEdges.clear();
     children.clear();
-}
-
-DecodeWorkspace &
-Decoder::internalWorkspace()
-{
-    if (!workspace_) {
-        workspace_ = std::make_unique<DecodeWorkspace>();
-    }
-    return *workspace_;
-}
-
-DecodeResult
-Decoder::decode(std::span<const uint32_t> defects,
-                DecodeTrace *trace)
-{
-    return decode(defects, internalWorkspace(), trace);
 }
 
 void
@@ -92,9 +65,9 @@ Decoder::decodeBlock(std::span<const uint64_t> detectorWords,
 }
 
 WorkerDecoders::WorkerDecoders(Decoder &source, int workers)
-    : source_(source),
-      sourceWorkspace_(source.internalWorkspace())
+    : source_(source)
 {
+    workspaces_.push_back(std::make_unique<DecodeWorkspace>());
     for (int w = 1; w < workers; ++w) {
         clones_.push_back(source.clone());
         workspaces_.push_back(
@@ -103,36 +76,5 @@ WorkerDecoders::WorkerDecoders(Decoder &source, int workers)
 }
 
 WorkerDecoders::~WorkerDecoders() = default;
-
-std::vector<DecodeResult>
-Decoder::decodeBatch(const std::vector<std::vector<uint32_t>> &batch,
-                     std::vector<DecodeTrace> *traces, int threads)
-{
-    std::vector<DecodeResult> results(batch.size());
-    if (traces) {
-        traces->assign(batch.size(), DecodeTrace{});
-    }
-    // Each worker decodes on its own engine and workspace (worker
-    // 0, which parallelFor runs on the calling thread, reuses this
-    // instance; see WorkerDecoders), so no mutable decoder state is
-    // shared and results land at the same indices as their
-    // syndromes — bit-identical to a serial run.
-    const WorkerDecoders engines(
-        *this, parallelWorkers(batch.size(), threads));
-    parallelFor(
-        batch.size(), threads,
-        [&batch, &results, traces,
-         &engines](size_t begin, size_t end, int worker) {
-            Decoder *engine = engines.engine(worker);
-            DecodeWorkspace &workspace =
-                engines.workspace(worker);
-            for (size_t i = begin; i < end; ++i) {
-                results[i] = engine->decode(
-                    batch[i], workspace,
-                    traces ? &(*traces)[i] : nullptr);
-            }
-        });
-    return results;
-}
 
 } // namespace qec

@@ -8,23 +8,20 @@
  * budget marks the result aborted, which the harness counts as a
  * logical error (§6.4 of the paper).
  *
- * Memory contract: the hot `decode()` overload borrows a caller-owned
+ * Memory contract: `decode()` borrows a caller-owned
  * DecodeWorkspace holding every per-decode scratch structure; a warm
- * workspace makes steady-state decoding allocation-free. The
- * workspace-less overload decodes on a lazily created internal
- * workspace, preserving the historical API (and the same
- * steady-state property). DecodeResult itself is plain data — the
- * error-chain lengths that used to ride on it live in DecodeTrace
- * now, computed only when a trace is requested.
+ * workspace makes steady-state decoding allocation-free.
+ * DecodeResult itself is plain data — the error-chain lengths live
+ * in DecodeTrace, computed only when a trace is requested.
  *
- * Thread-safety contract: `decode()` keeps no per-call state on the
- * decoder — all per-decode introspection is written into the
- * caller-owned DecodeTrace out-parameter. One decoder instance (or
- * workspace) must not be shared between threads, but `clone()`
- * produces an independent, identically configured instance, and the
- * default `decodeBatch()` uses clones — each with its own
- * workspace — to fan a batch of syndromes across worker threads
- * with results identical to a serial run.
+ * Thread-safety contract: a decoder is an immutable engine — it
+ * holds only its graph, its path table and its configuration, and
+ * all per-decode state lives in the caller's workspace and
+ * DecodeTrace. One decoder instance (or workspace) must not be
+ * shared between threads, but `clone()` produces an independent,
+ * identically configured instance; WorkerDecoders + parallelFor fan
+ * syndromes across threads, each worker on its own clone and
+ * workspace, with results identical to a serial run.
  *
  * Decoder stacks are described by a DecoderSpec and constructed
  * through the component registry — see qec/api/decoder_spec.hpp and
@@ -139,10 +136,11 @@ struct DecodeTrace
 class Decoder
 {
   public:
-    // Out of line: the workspace_ member's deleter needs the full
-    // DecodeWorkspace type (see decoder.cpp).
-    Decoder(const DecodingGraph &graph, const PathTable &paths);
-    virtual ~Decoder();
+    Decoder(const DecodingGraph &graph, const PathTable &paths)
+        : graph_(graph), paths_(paths)
+    {
+    }
+    virtual ~Decoder() = default;
 
     /**
      * Decode one syndrome given as sorted flipped-detector indices,
@@ -163,18 +161,10 @@ class Decoder
                                 DecodeTrace *trace = nullptr) = 0;
 
     /**
-     * Historical workspace-less overload: decodes on this
-     * instance's lazily created internal workspace. Equivalent to
-     * (and bit-identical with) the workspace overload.
-     */
-    DecodeResult decode(std::span<const uint32_t> defects,
-                        DecodeTrace *trace = nullptr);
-
-    /**
      * Independent copy with identical configuration, bound to the
      * same graph/path tables. Clones share no mutable state with
-     * the original (internal workspaces included), so each thread
-     * of a batched harness can decode on its own clone.
+     * the original, so each thread of a batched harness can decode
+     * on its own clone.
      */
     virtual std::unique_ptr<Decoder> clone() const = 0;
 
@@ -201,28 +191,6 @@ class Decoder
                              int lanes, DecodeWorkspace &workspace,
                              DecodeResult *results);
 
-    /**
-     * Decode a batch of syndromes, optionally across threads.
-     *
-     * The default implementation decodes in order on this instance
-     * when one worker suffices, and otherwise fans chunks of the
-     * batch across worker threads, each working on its own clone()
-     * and per-worker workspace (worker 0 runs on the calling
-     * thread with this instance). Results and traces land at the
-     * same indices as their syndromes and are bit-identical to a
-     * serial run for any thread count.
-     *
-     * @param batch    syndromes (each sorted)
-     * @param traces   optional per-syndrome traces, resized to match
-     * @param threads  worker thread count; 1 decodes serially, and
-     *                 <= 0 means one worker per hardware thread
-     *                 (the project-wide convention of
-     *                 qec::parallelFor / LerOptions::threads)
-     */
-    virtual std::vector<DecodeResult> decodeBatch(
-        const std::vector<std::vector<uint32_t>> &batch,
-        std::vector<DecodeTrace> *traces = nullptr, int threads = 1);
-
     /** Short identifier used in reports (e.g. "Promatch||AG"). */
     virtual std::string name() const = 0;
 
@@ -237,19 +205,9 @@ class Decoder
     const DecodingGraph &graph() const { return graph_; }
     const PathTable &paths() const { return paths_; }
 
-    /**
-     * This instance's internal workspace, created on first use.
-     * Exposed so harness code that decodes through the historical
-     * overload can still inspect or pre-warm it.
-     */
-    DecodeWorkspace &internalWorkspace();
-
   protected:
     const DecodingGraph &graph_;
     const PathTable &paths_;
-
-  private:
-    std::unique_ptr<DecodeWorkspace> workspace_;
 };
 
 /**
@@ -269,9 +227,9 @@ void scatterBlockLanes(std::span<const uint64_t> detectorWords,
  * instance (the calling thread's slice), workers 1..W-1 on clones.
  * Clones are created serially in the constructor — the Decoder
  * contract does not promise clone() is safe while another thread
- * decodes on the source — and shared by decodeBatch, estimateLer,
- * and estimateLerDirect. Each worker gets its own DecodeWorkspace,
- * reused across every syndrome that worker decodes.
+ * decodes on the source — and shared by estimateLer and
+ * estimateLerDirect. Each worker owns its DecodeWorkspace, reused
+ * across every syndrome that worker decodes.
  */
 class WorkerDecoders
 {
@@ -287,22 +245,15 @@ class WorkerDecoders
                            : clones_[worker - 1].get();
     }
 
-    /**
-     * The scratch workspace owned by worker `worker`. Worker 0
-     * reuses the source decoder's internal workspace, so repeated
-     * fork/join regions over the same decoder stay warm instead of
-     * re-warming a fresh workspace every call.
-     */
+    /** The scratch workspace owned by worker `worker`. */
     DecodeWorkspace &
     workspace(int worker) const
     {
-        return worker == 0 ? sourceWorkspace_
-                           : *workspaces_[worker - 1];
+        return *workspaces_[worker];
     }
 
   private:
     Decoder &source_;
-    DecodeWorkspace &sourceWorkspace_;
     std::vector<std::unique_ptr<Decoder>> clones_;
     std::vector<std::unique_ptr<DecodeWorkspace>> workspaces_;
 };

@@ -55,7 +55,12 @@ struct LatencyConfig
         return budgetNs - compareCycles * nsPerCycle;
     }
 
-    /** Number of pairings Astrea's engine enumerates at this HW. */
+    /** Largest HW whose matchingCount fits in a long long (33!!);
+     *  build() rejects a larger astreaMaxHw. */
+    static constexpr int kMaxAstreaHw = 34;
+
+    /** Number of pairings Astrea's engine enumerates at this HW
+     *  (hw <= kMaxAstreaHw). */
     static long long matchingCount(int hw);
 
     /** Modeled Astrea cycles for a syndrome of this Hamming weight;

@@ -38,7 +38,6 @@ class ParallelDecoder : public Decoder
     {
     }
 
-    using Decoder::decode;
     DecodeResult decode(std::span<const uint32_t> defects,
                         DecodeWorkspace &workspace,
                         DecodeTrace *trace = nullptr) override;

@@ -11,6 +11,64 @@
 namespace qec
 {
 
+namespace
+{
+
+/** One syndrome's predecode outcome, as the composition reads it. */
+struct StageOutcome
+{
+    uint64_t obsMask;
+    double weight;
+    double predecodeNs;
+    bool decodedAll;
+    bool forwarded;
+};
+
+/**
+ * The composition rule of one syndrome, shared by decode() and
+ * decodeBlock() so both paths agree bit for bit. `pre` is null for
+ * a low-HW syndrome, which skips the predecoder (§3) and keeps the
+ * main decoder's result. `mainDecode()` runs the main decoder on the
+ * residual; it is not called when an NSM predecoder resolved the
+ * syndrome locally. NSM forwarding overlaps the stages (the main
+ * decoder already had the unmodified syndrome, Fig. 3(a)), every
+ * other handoff serializes them, and any result over the budget
+ * aborts (§6.4).
+ */
+template <class MainDecode>
+inline DecodeResult
+composeStages(const StageOutcome *pre, double budget_ns,
+              MainDecode &&mainDecode)
+{
+    if (pre == nullptr) {
+        DecodeResult result = mainDecode();
+        if (result.latencyNs > budget_ns) {
+            result.aborted = true;
+        }
+        return result;
+    }
+    DecodeResult result;
+    if (pre->decodedAll) {
+        result.predictedObs = pre->obsMask;
+        result.weight = pre->weight;
+        result.latencyNs = pre->predecodeNs;
+        result.aborted = result.latencyNs > budget_ns;
+        return result;
+    }
+    const DecodeResult main_result = mainDecode();
+    result.predictedObs = pre->obsMask ^ main_result.predictedObs;
+    result.weight = pre->weight + main_result.weight;
+    result.latencyNs =
+        pre->forwarded
+            ? std::max(pre->predecodeNs, main_result.latencyNs)
+            : pre->predecodeNs + main_result.latencyNs;
+    result.aborted =
+        main_result.aborted || result.latencyNs > budget_ns;
+    return result;
+}
+
+} // namespace
+
 DecodeResult
 PredecodedDecoder::decode(std::span<const uint32_t> defects,
                           DecodeWorkspace &workspace,
@@ -21,83 +79,49 @@ PredecodedDecoder::decode(std::span<const uint32_t> defects,
         trace->reset();
         trace->hwBefore = static_cast<int>(defects.size());
     }
+    const double budget_ns = latency_.effectiveBudgetNs();
+    // Runs the main decoder on `input`, recording its trace as
+    // children[0] and hoisting its chain lengths.
+    const auto main_decode = [&](std::span<const uint32_t> input) {
+        DecodeTrace *child =
+            trace ? &rt::emplaceBack(trace->children) : nullptr;
+        const DecodeResult result =
+            main_->decode(input, workspace, child);
+        if (trace) {
+            trace->hwAfter = static_cast<int>(input.size());
+            trace->mainNs = result.latencyNs;
+            // Swap, not move-assign (no inline free; see parallel.cpp).
+            std::swap(trace->chainLengths, child->chainLengths);
+        }
+        return result;
+    };
 
     // Low-HW syndromes skip the predecoder entirely (§3).
     if (static_cast<int>(defects.size()) <= latency_.astreaMaxHw) {
-        DecodeResult result = main_->decode(
-            defects, workspace,
-            trace ? &rt::emplaceBack(trace->children) : nullptr);
-        if (trace) {
-            trace->hwAfter = trace->hwBefore;
-            trace->mainNs = result.latencyNs;
-            // Swap, not move-assign (no inline free; see parallel.cpp).
-            std::swap(trace->chainLengths,
-                      trace->children.back().chainLengths);
-        }
-        if (result.latencyNs > latency_.effectiveBudgetNs()) {
-            result.aborted = true;
-        }
-        return result;
+        return composeStages(nullptr, budget_ns,
+                             [&] { return main_decode(defects); });
     }
 
-    const long long budget_cycles = static_cast<long long>(
-        latency_.effectiveBudgetNs() / latency_.nsPerCycle);
+    const long long budget_cycles =
+        static_cast<long long>(budget_ns / latency_.nsPerCycle);
     // The predecoder writes into the workspace-owned handoff slot;
     // its residual must stay untouched through the nested main
-    // decode below (main decoders never write predecodeResult).
+    // decode (main decoders never write predecodeResult).
     PredecodeResult &pre_result = workspace.predecodeResult;
     pre->predecode(defects, budget_cycles, workspace, pre_result);
-    const double predecode_ns =
-        static_cast<double>(pre_result.cycles) * latency_.nsPerCycle;
+    const StageOutcome outcome{
+        pre_result.obsMask, pre_result.weight,
+        static_cast<double>(pre_result.cycles) * latency_.nsPerCycle,
+        pre_result.decodedAll, pre_result.forwarded};
     if (trace) {
         trace->predecoderEngaged = true;
         trace->steps = pre_result.steps;
         trace->predecodeRounds = pre_result.rounds;
-        trace->predecodeNs = predecode_ns;
+        trace->predecodeNs = outcome.predecodeNs;
     }
-
-    DecodeResult result;
-    if (pre_result.decodedAll) {
-        // NSM predecoder finished the whole syndrome locally.
-        result.predictedObs = pre_result.obsMask;
-        result.weight = pre_result.weight;
-        result.latencyNs = predecode_ns;
-        if (result.latencyNs > latency_.effectiveBudgetNs()) {
-            result.aborted = true;
-        }
-        return result;
-    }
-
-    const std::vector<uint32_t> &handoff = pre_result.residual;
-    if (trace) {
-        trace->hwAfter = static_cast<int>(handoff.size());
-    }
-
-    DecodeResult main_result = main_->decode(
-        handoff, workspace,
-        trace ? &rt::emplaceBack(trace->children) : nullptr);
-    if (trace) {
-        trace->mainNs = main_result.latencyNs;
-        // Swap, not move-assign (no inline free; see parallel.cpp).
-        std::swap(trace->chainLengths,
-                  trace->children.back().chainLengths);
-    }
-
-    result.predictedObs =
-        pre_result.obsMask ^ main_result.predictedObs;
-    result.weight = pre_result.weight + main_result.weight;
-    if (pre_result.forwarded) {
-        // NSM forwarding: the main decoder already had the
-        // unmodified syndrome, so the stages overlap rather than
-        // serialize (Fig. 3(a)).
-        result.latencyNs =
-            std::max(predecode_ns, main_result.latencyNs);
-    } else {
-        result.latencyNs = predecode_ns + main_result.latencyNs;
-    }
-    result.aborted = main_result.aborted ||
-                     result.latencyNs > latency_.effectiveBudgetNs();
-    return result;
+    return composeStages(&outcome, budget_ns, [&] {
+        return main_decode(pre_result.residual);
+    });
 }
 
 void
@@ -180,7 +204,7 @@ PredecodedDecoder::decodeBlock(std::span<const uint64_t> detectorWords,
         block.laneWords[det] = 0;
     }
 
-    // Per-lane compose, mirroring decode() case by case. Lanes the
+    // Per-lane compose through the same rule as decode(). Lanes the
     // predecoder fully prematched share one cached empty-input main
     // decode (the main decoder is deterministic and stateless
     // per-call, so the first result stands in for all of them).
@@ -191,50 +215,29 @@ PredecodedDecoder::decodeBlock(std::span<const uint64_t> detectorWords,
         const uint64_t bit = uint64_t{1} << lane;
         const std::vector<uint32_t> &input = block.laneDefects[lane];
         if ((bit & engagedMask) == 0) {
-            DecodeResult result =
-                main_->decode(input, workspace, nullptr);
-            if (result.latencyNs > budget_ns) {
-                result.aborted = true;
+            results[lane] = composeStages(nullptr, budget_ns, [&] {
+                return main_->decode(input, workspace, nullptr);
+            });
+            continue;
+        }
+        const auto residual_decode = [&] {
+            if (!input.empty()) {
+                return main_->decode(input, workspace, nullptr);
             }
-            results[lane] = result;
-            continue;
-        }
-        const double predecode_ns =
-            static_cast<double>(pre_result.cycles[lane]) *
-            latency_.nsPerCycle;
-        if (bit & pre_result.decodedAllMask) {
-            DecodeResult result;
-            result.predictedObs = pre_result.obsMask[lane];
-            result.weight = pre_result.weight[lane];
-            result.latencyNs = predecode_ns;
-            result.aborted = result.latencyNs > budget_ns;
-            results[lane] = result;
-            continue;
-        }
-        DecodeResult main_result;
-        if (input.empty()) {
             if (!have_empty_main) {
                 empty_main = main_->decode(input, workspace, nullptr);
                 have_empty_main = true;
             }
-            main_result = empty_main;
-        } else {
-            main_result = main_->decode(input, workspace, nullptr);
-        }
-        DecodeResult result;
-        result.predictedObs =
-            pre_result.obsMask[lane] ^ main_result.predictedObs;
-        result.weight =
-            pre_result.weight[lane] + main_result.weight;
-        if (bit & pre_result.forwardedMask) {
-            result.latencyNs =
-                std::max(predecode_ns, main_result.latencyNs);
-        } else {
-            result.latencyNs = predecode_ns + main_result.latencyNs;
-        }
-        result.aborted =
-            main_result.aborted || result.latencyNs > budget_ns;
-        results[lane] = result;
+            return empty_main;
+        };
+        const StageOutcome outcome{
+            pre_result.obsMask[lane], pre_result.weight[lane],
+            static_cast<double>(pre_result.cycles[lane]) *
+                latency_.nsPerCycle,
+            (bit & pre_result.decodedAllMask) != 0,
+            (bit & pre_result.forwardedMask) != 0};
+        results[lane] =
+            composeStages(&outcome, budget_ns, residual_decode);
     }
 }
 

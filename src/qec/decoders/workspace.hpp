@@ -13,11 +13,9 @@
  *
  * Ownership and aliasing contract:
  *  - One workspace per thread: a workspace must never be used by
- *    two threads at once. The batched harness allocates one per
- *    worker (see WorkerDecoders); decoders also keep a lazily
- *    created internal workspace so the workspace-less `decode()`
- *    overload keeps working (and stays allocation-free too, since
- *    clones — one per worker — never share it).
+ *    two threads at once. Decoders and predecoders own none; the
+ *    batched harness allocates one per worker (see WorkerDecoders)
+ *    and each StreamingDecoder owns the one it decodes on.
  *  - Composite decoders pass the *same* workspace down to their
  *    children; the members are used strictly sequentially (the
  *    predecoder finishes with `subgraph` before the main decoder

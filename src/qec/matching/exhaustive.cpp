@@ -127,10 +127,9 @@ ExhaustiveSolver::seedGreedyBound(const MatchingProblem &problem)
     best_ = std::nextafter(bound, kNoEdge);
 }
 
-// Outlined so the QEC_REALTIME anchor stays inside this body: GCC
-// would otherwise inline the whole solve into the solveExhaustive
-// convenience wrapper, and the audit root would migrate to the
-// wrapper — whose by-value MatchingSolution return allocates.
+// Outlined so the QEC_REALTIME anchor stays inside this body: if
+// GCC inlined the whole solve into a caller, the audit root would
+// migrate to that caller.
 QEC_RT_OUTLINE void
 ExhaustiveSolver::solve(const MatchingProblem &problem,
                         MatchingSolution &out, uint64_t *explored)
@@ -155,15 +154,6 @@ ExhaustiveSolver::solve(const MatchingProblem &problem,
                     bestMate_.end());
     out.totalWeight = best_;
     out.valid = true;
-}
-
-MatchingSolution
-solveExhaustive(const MatchingProblem &problem, uint64_t *explored)
-{
-    ExhaustiveSolver solver;
-    MatchingSolution solution;
-    solver.solve(problem, solution, explored);
-    return solution;
 }
 
 } // namespace qec

@@ -49,10 +49,6 @@ class ExhaustiveSolver
     uint64_t explored_ = 0;
 };
 
-/** One-shot convenience over a temporary ExhaustiveSolver. */
-MatchingSolution solveExhaustive(const MatchingProblem &problem,
-                                 uint64_t *explored = nullptr);
-
 } // namespace qec
 
 #endif // QEC_MATCHING_EXHAUSTIVE_HPP

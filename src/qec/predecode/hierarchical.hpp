@@ -24,7 +24,6 @@ class HierarchicalPredecoder : public Predecoder
   public:
     using Predecoder::Predecoder;
 
-    using Predecoder::predecode;
     void predecode(std::span<const uint32_t> defects,
                    long long cycle_budget,
                    DecodeWorkspace &workspace,

@@ -65,7 +65,6 @@ class PromatchPredecoder : public Predecoder
     {
     }
 
-    using Predecoder::predecode;
     void predecode(std::span<const uint32_t> defects,
                    long long cycle_budget,
                    DecodeWorkspace &workspace,

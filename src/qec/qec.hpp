@@ -26,7 +26,6 @@
 #include "qec/decoders/astrea.hpp"
 #include "qec/decoders/astrea_g.hpp"
 #include "qec/decoders/decoder.hpp"
-#include "qec/decoders/factory.hpp"
 #include "qec/decoders/fallback.hpp"
 #include "qec/decoders/latency.hpp"
 #include "qec/decoders/mwpm_decoder.hpp"

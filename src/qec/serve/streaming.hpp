@@ -45,6 +45,7 @@
 
 #include "qec/api/status.hpp"
 #include "qec/decoders/decoder.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/serve/stream.hpp"
 
 namespace qec
@@ -103,10 +104,11 @@ struct StreamDecodeOutcome
 /**
  * Streaming wrapper around one Decoder instance.
  *
- * Not thread-safe (it drives one decoder and one workspace); the
- * serving layer gives each worker its own StreamingDecoder over a
- * clone(). All buffers reach steady capacity after warmup, so a
- * warm instance streams without heap allocation.
+ * Not thread-safe (it drives one decoder and the workspace it
+ * owns); the serving layer gives each worker its own
+ * StreamingDecoder over a clone(). All buffers, workspace included,
+ * reach steady capacity after warmup, so a warm instance streams
+ * without heap allocation.
  */
 class StreamingDecoder
 {
@@ -182,7 +184,7 @@ class StreamingDecoder
     }
 
     Decoder &decoder_;
-    DecodeWorkspace &workspace_;
+    DecodeWorkspace workspace_;
     int detectorsPerRound_;
     StreamingConfig config_;
 

@@ -15,9 +15,9 @@
  * the index itself (e.g. counter-based RNG streams via
  * Rng::forSample) and use per-worker state only for reusable
  * scratch or commutative accumulation. Every caller in this
- * codebase follows that rule, which is what keeps estimateLer /
- * decodeBatch bit-identical for any thread count even with dynamic
- * scheduling (enforced by tests/test_parallel_ler.cpp).
+ * codebase follows that rule, which is what keeps estimateLer and
+ * estimateLerDirect bit-identical for any thread count even with
+ * dynamic scheduling (enforced by tests/test_parallel_ler.cpp).
  */
 
 #ifndef QEC_UTIL_PARALLEL_FOR_HPP

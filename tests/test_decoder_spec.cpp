@@ -1,25 +1,27 @@
 /**
  * @file
  * Tests for the DecoderSpec registry API: parse/print round-trips,
- * option overrides, error paths, registry completeness against the
- * legacy factory names, and thread-safety of cloned stacks
- * (identical batch results with independent traces).
+ * option overrides, error paths, every canonical stack building,
+ * and thread-safety of cloned stacks (identical batch results with
+ * independent traces).
  */
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <string>
+#include <utility>
 
 #include "qec/api/decoder_spec.hpp"
 #include "qec/api/registry.hpp"
 #include "qec/decoders/astrea.hpp"
-#include "qec/decoders/factory.hpp"
 #include "qec/decoders/parallel.hpp"
 #include "qec/decoders/pipeline.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
 #include "qec/predecode/pinball.hpp"
 #include "qec/predecode/promatch.hpp"
+#include "qec/util/parallel_for.hpp"
 
 namespace qec
 {
@@ -141,6 +143,19 @@ TEST(DecoderSpec, BuildRejectsUnknownComponentsAndOptions)
     EXPECT_THROW(try_build("promatch+astrea?promatch_lanes=0"),
                  SpecError);
     EXPECT_THROW(try_build("astrea_g?astrea_g_prune=0"), SpecError);
+    // Values that are in range one by one but leave a latency model
+    // with undefined arithmetic: 35!! overflows Astrea's pairing
+    // count, and the cycle budget must be a positive long long.
+    EXPECT_THROW(try_build("promatch+mwpm?hw_threshold=40"),
+                 SpecError);
+    EXPECT_THROW(try_build("astrea?hw_threshold=35"), SpecError);
+    EXPECT_NO_THROW(try_build("astrea?hw_threshold=34"));
+    EXPECT_THROW(
+        try_build("promatch+astrea?budget_ns=1e300&ns_per_cycle=1e-300"),
+        SpecError);
+    EXPECT_THROW(try_build("promatch+astrea?compare_cycles=1000"),
+                 SpecError);
+    EXPECT_THROW(try_build("astrea?budget_ns=40"), SpecError);
 }
 
 TEST(DecoderSpec, OptionsOverrideLatencyAndPromatchConfig)
@@ -156,7 +171,8 @@ TEST(DecoderSpec, OptionsOverrideLatencyAndPromatchConfig)
         EXPECT_DOUBLE_EQ(astrea->latencyConfig().budgetNs, 500.0);
         // Behavioral check: HW 5 is now beyond the engine's reach.
         const std::vector<uint32_t> five{0, 1, 2, 3, 4};
-        EXPECT_TRUE(decoder->decode(five).aborted);
+        DecodeWorkspace workspace;
+        EXPECT_TRUE(decoder->decode(five, workspace).aborted);
     }
     {
         auto decoder = build(
@@ -250,28 +266,47 @@ TEST(DecoderRegistry, ComponentsAreRegistered)
     EXPECT_FALSE(registry.hasPredecoder("astrea"));
 }
 
-TEST(DecoderRegistry, EveryLegacyNameBuildsAndRoundTrips)
+TEST(DecoderRegistry, EveryCanonicalSpecBuildsAndRoundTrips)
 {
+    // The paper's evaluated configurations plus the registry-added
+    // stacks, in canonical form: each prints back unchanged and
+    // builds the composition its text names.
+    const std::pair<const char *, const char *> cases[] = {
+        {"mwpm", "MWPM"},
+        {"sparse", "SparseMWPM"},
+        {"astrea", "Astrea"},
+        {"astrea_g", "Astrea-G"},
+        {"union_find", "UnionFind"},
+        {"promatch+astrea", "Promatch+Astrea"},
+        {"smith+astrea", "Smith+Astrea"},
+        {"clique+astrea", "Clique+Astrea"},
+        {"hierarchical+astrea", "Hierarchical+Astrea"},
+        {"clique+mwpm", "Clique+MWPM"},
+        {"clique+astrea_g", "Clique+Astrea-G"},
+        {"promatch+astrea||astrea_g", "Promatch+Astrea||Astrea-G"},
+        {"smith+astrea||astrea_g", "Smith+Astrea||Astrea-G"},
+        {"promatch+sparse", "Promatch+SparseMWPM"},
+        {"pinball+sparse", "Pinball+SparseMWPM"},
+        {"pinball+astrea", "Pinball+Astrea"},
+        {"pinball+mwpm", "Pinball+MWPM"},
+        {"pinball+astrea||astrea_g", "Pinball+Astrea||Astrea-G"},
+    };
     const auto &ctx = ExperimentContext::get(3, 1e-3);
-    for (const std::string &name : decoderNames()) {
-        const std::string text = specForName(name);
+    for (const auto &[text, name] : cases) {
         const DecoderSpec spec = DecoderSpec::parse(text);
-        EXPECT_EQ(spec.toString(), text) << name;
-        auto via_spec = build(spec, ctx.graph(), ctx.paths());
-        auto via_factory =
-            makeDecoder(name, ctx.graph(), ctx.paths());
-        ASSERT_NE(via_spec, nullptr) << name;
-        // Same composition: the legacy factory is a thin alias.
-        EXPECT_EQ(via_spec->name(), via_factory->name()) << name;
+        EXPECT_EQ(spec.toString(), text);
+        auto decoder = build(spec, ctx.graph(), ctx.paths());
+        ASSERT_NE(decoder, nullptr) << text;
+        EXPECT_EQ(decoder->name(), name) << text;
     }
 }
 
 TEST(DecoderSpec, ClonedStacksDecodeConcurrentlyWithSameResults)
 {
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    auto stack = build(
-        DecoderSpec::parse(specForName("promatch_par_ag")),
-        ctx.graph(), ctx.paths());
+    auto stack =
+        build(DecoderSpec::parse("promatch+astrea||astrea_g"),
+              ctx.graph(), ctx.paths());
 
     // A mixed batch, including HW > 10 syndromes that engage the
     // predecoder.
@@ -285,30 +320,13 @@ TEST(DecoderSpec, ClonedStacksDecodeConcurrentlyWithSameResults)
     }
 
     // Serial reference on the original instance.
-    std::vector<DecodeTrace> ref_traces;
-    const std::vector<DecodeResult> reference =
-        stack->decodeBatch(batch, &ref_traces);
-
-    // Two clones decode the same batch from different threads.
-    auto clone_a = stack->clone();
-    auto clone_b = stack->clone();
-    EXPECT_EQ(clone_a->name(), stack->name());
-    std::vector<DecodeResult> results_a(batch.size());
-    std::vector<DecodeResult> results_b(batch.size());
-    std::vector<DecodeTrace> traces_a(batch.size());
-    std::vector<DecodeTrace> traces_b(batch.size());
-    std::thread ta([&]() {
-        for (size_t i = 0; i < batch.size(); ++i) {
-            results_a[i] = clone_a->decode(batch[i], &traces_a[i]);
-        }
-    });
-    std::thread tb([&]() {
-        for (size_t i = 0; i < batch.size(); ++i) {
-            results_b[i] = clone_b->decode(batch[i], &traces_b[i]);
-        }
-    });
-    ta.join();
-    tb.join();
+    std::vector<DecodeResult> reference(batch.size());
+    std::vector<DecodeTrace> ref_traces(batch.size());
+    DecodeWorkspace workspace;
+    for (size_t i = 0; i < batch.size(); ++i) {
+        reference[i] =
+            stack->decode(batch[i], workspace, &ref_traces[i]);
+    }
 
     const auto same_trace = [](const DecodeTrace &x,
                                const DecodeTrace &y) {
@@ -319,29 +337,36 @@ TEST(DecoderSpec, ClonedStacksDecodeConcurrentlyWithSameResults)
                x.steps.deepest() == y.steps.deepest() &&
                x.children.size() == y.children.size();
     };
-    for (size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(results_a[i].predictedObs,
-                  reference[i].predictedObs);
-        EXPECT_EQ(results_b[i].predictedObs,
-                  reference[i].predictedObs);
-        EXPECT_DOUBLE_EQ(results_a[i].weight, reference[i].weight);
-        EXPECT_DOUBLE_EQ(results_b[i].weight, reference[i].weight);
-        EXPECT_EQ(results_a[i].aborted, reference[i].aborted);
-        EXPECT_EQ(results_b[i].aborted, reference[i].aborted);
-        // Traces are independent per clone but identical in
-        // content.
-        EXPECT_TRUE(same_trace(traces_a[i], ref_traces[i])) << i;
-        EXPECT_TRUE(same_trace(traces_b[i], ref_traces[i])) << i;
-    }
-
-    // The built-in threaded batch path agrees with the serial one.
-    const std::vector<DecodeResult> threaded =
-        stack->decodeBatch(batch, nullptr, 4);
-    for (size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(threaded[i].predictedObs,
-                  reference[i].predictedObs);
-        EXPECT_DOUBLE_EQ(threaded[i].weight, reference[i].weight);
-        EXPECT_EQ(threaded[i].aborted, reference[i].aborted);
+    EXPECT_EQ(stack->clone()->name(), stack->name());
+    // Clones decode the batch concurrently, each on its own
+    // workspace, through the harness's fork/join engine.
+    for (int threads : {1, 2, 8}) {
+        const WorkerDecoders engines(
+            *stack, parallelWorkers(batch.size(), threads));
+        std::vector<DecodeResult> results(batch.size());
+        std::vector<DecodeTrace> traces(batch.size());
+        parallelFor(batch.size(), threads,
+                    [&](size_t begin, size_t end, int worker) {
+                        Decoder *engine = engines.engine(worker);
+                        DecodeWorkspace &ws = engines.workspace(worker);
+                        for (size_t i = begin; i < end; ++i) {
+                            results[i] =
+                                engine->decode(batch[i], ws, &traces[i]);
+                        }
+                    });
+        for (size_t i = 0; i < batch.size(); ++i) {
+            EXPECT_EQ(results[i].predictedObs,
+                      reference[i].predictedObs)
+                << threads << " " << i;
+            EXPECT_DOUBLE_EQ(results[i].weight, reference[i].weight)
+                << threads << " " << i;
+            EXPECT_EQ(results[i].aborted, reference[i].aborted)
+                << threads << " " << i;
+            // Traces are independent per engine but identical in
+            // content.
+            EXPECT_TRUE(same_trace(traces[i], ref_traces[i]))
+                << threads << " " << i;
+        }
     }
 }
 

@@ -10,11 +10,12 @@
 #include <map>
 #include <set>
 
+#include "qec/api/registry.hpp"
 #include "qec/decoders/astrea.hpp"
 #include "qec/decoders/astrea_g.hpp"
-#include "qec/decoders/factory.hpp"
 #include "qec/decoders/mwpm_decoder.hpp"
 #include "qec/decoders/union_find.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
 
@@ -29,12 +30,32 @@ defectsOf(const DemMechanism &m)
     return m.dets;
 }
 
+/** Every registered main decoder alone, and every predecoder on
+ *  each main decoder and in a `||astrea_g` stack. */
+std::vector<std::string>
+registryStacks()
+{
+    const DecoderRegistry &registry = DecoderRegistry::instance();
+    const std::vector<std::string> mains =
+        registry.decoderComponents();
+    std::vector<std::string> specs = mains;
+    for (const std::string &pre : registry.predecoderComponents()) {
+        for (const std::string &main : mains) {
+            specs.push_back(pre + "+" + main);
+        }
+        specs.push_back(pre + "+astrea||astrea_g");
+    }
+    return specs;
+}
+
 TEST(Decoders, EmptySyndromeIsNoOpEverywhere)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(3, 1e-3);
-    for (const std::string &name : decoderNames()) {
-        auto decoder = makeDecoder(name, ctx.graph(), ctx.paths());
-        const DecodeResult result = decoder->decode({});
+    for (const std::string &name : registryStacks()) {
+        auto decoder = build(DecoderSpec::parse(name), ctx.graph(),
+                             ctx.paths());
+        const DecodeResult result = decoder->decode({}, workspace);
         EXPECT_FALSE(result.aborted) << name;
         EXPECT_EQ(result.predictedObs, 0ull) << name;
     }
@@ -49,11 +70,13 @@ TEST_P(SingleFaultTest, EverySingleFaultIsDecodedCorrectly)
 {
     // A single DEM mechanism is always within the code's correction
     // radius; every decoder must get every one of them right.
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(3, 1e-3);
     auto decoder =
-        makeDecoder(GetParam(), ctx.graph(), ctx.paths());
+        build(DecoderSpec::parse(GetParam()), ctx.graph(), ctx.paths());
     for (const DemMechanism &m : ctx.dem().mechanisms()) {
-        const DecodeResult result = decoder->decode(defectsOf(m));
+        const DecodeResult result =
+            decoder->decode(defectsOf(m), workspace);
         ASSERT_FALSE(result.aborted)
             << GetParam() << " aborted on single fault";
         ASSERT_EQ(result.predictedObs, m.obsMask)
@@ -65,13 +88,14 @@ TEST_P(SingleFaultTest, EverySingleFaultIsDecodedCorrectly)
 INSTANTIATE_TEST_SUITE_P(
     AllDecoders, SingleFaultTest,
     ::testing::Values("mwpm", "astrea", "astrea_g", "union_find",
-                      "promatch_astrea", "promatch_par_ag",
-                      "smith_astrea", "smith_par_ag"));
+                      "promatch+astrea", "promatch+astrea||astrea_g",
+                      "smith+astrea", "smith+astrea||astrea_g"));
 
 TEST(Decoders, MwpmCorrectsTwoArbitraryFaultsAtD5)
 {
     // floor((5-1)/2) = 2: any two faults must be correctable by the
     // exact decoder — this doubles as a circuit-distance check.
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     MwpmDecoder decoder(ctx.graph(), ctx.paths());
     const auto &mechanisms = ctx.dem().mechanisms();
@@ -96,7 +120,7 @@ TEST(Decoders, MwpmCorrectsTwoArbitraryFaultsAtD5)
         }
         const uint64_t obs =
             mechanisms[a].obsMask ^ mechanisms[b].obsMask;
-        const DecodeResult result = decoder.decode(defects);
+        const DecodeResult result = decoder.decode(defects, workspace);
         ASSERT_FALSE(result.aborted);
         ASSERT_EQ(result.predictedObs, obs)
             << "trial " << trial << " mechanisms " << a << ","
@@ -106,6 +130,7 @@ TEST(Decoders, MwpmCorrectsTwoArbitraryFaultsAtD5)
 
 TEST(Decoders, AstreaEqualsMwpmOnLowHwSyndromes)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     AstreaDecoder astrea(ctx.graph(), ctx.paths());
     MwpmDecoder mwpm(ctx.graph(), ctx.paths());
@@ -118,8 +143,10 @@ TEST(Decoders, AstreaEqualsMwpmOnLowHwSyndromes)
             if (sample.defects.size() > 10) {
                 continue;
             }
-            const DecodeResult a = astrea.decode(sample.defects);
-            const DecodeResult b = mwpm.decode(sample.defects);
+            const DecodeResult a =
+                astrea.decode(sample.defects, workspace);
+            const DecodeResult b =
+                mwpm.decode(sample.defects, workspace);
             ASSERT_FALSE(a.aborted);
             // Exact engines must agree on the matching weight; obs
             // can only differ between equal-weight optima.
@@ -132,18 +159,20 @@ TEST(Decoders, AstreaEqualsMwpmOnLowHwSyndromes)
 
 TEST(Decoders, AstreaAbortsAboveMaxHw)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     AstreaDecoder astrea(ctx.graph(), ctx.paths());
     std::vector<uint32_t> defects;
     for (uint32_t det = 0; det < 11; ++det) {
         defects.push_back(det);
     }
-    const DecodeResult result = astrea.decode(defects);
+    const DecodeResult result = astrea.decode(defects, workspace);
     EXPECT_TRUE(result.aborted);
 }
 
 TEST(Decoders, AstreaLatencyGrowsWithHw)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     AstreaDecoder astrea(ctx.graph(), ctx.paths());
     ImportanceSampler sampler(ctx.dem(), 5);
@@ -152,7 +181,8 @@ TEST(Decoders, AstreaLatencyGrowsWithHw)
     for (int s = 0; s < 300; ++s) {
         const auto sample = sampler.sample(1, rng);
         if (sample.defects.size() <= 2) {
-            low_hw_lat = astrea.decode(sample.defects).latencyNs;
+            low_hw_lat =
+                astrea.decode(sample.defects, workspace).latencyNs;
             break;
         }
     }
@@ -160,7 +190,8 @@ TEST(Decoders, AstreaLatencyGrowsWithHw)
         const auto sample = sampler.sample(5, rng);
         if (sample.defects.size() >= 8 &&
             sample.defects.size() <= 10) {
-            high_hw_lat = astrea.decode(sample.defects).latencyNs;
+            high_hw_lat =
+                astrea.decode(sample.defects, workspace).latencyNs;
             break;
         }
     }
@@ -171,6 +202,7 @@ TEST(Decoders, AstreaLatencyGrowsWithHw)
 
 TEST(Decoders, UnionFindCorrectionReproducesSyndrome)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     UnionFindDecoder uf(ctx.graph(), ctx.paths());
     ImportanceSampler sampler(ctx.dem(), 6);
@@ -180,7 +212,7 @@ TEST(Decoders, UnionFindCorrectionReproducesSyndrome)
             const auto sample = sampler.sample(k, rng);
             DecodeTrace trace;
             const DecodeResult result =
-                uf.decode(sample.defects, &trace);
+                uf.decode(sample.defects, workspace, &trace);
             ASSERT_FALSE(result.aborted);
             // XOR of correction-edge endpoints == syndrome.
             std::set<uint32_t> flipped;
@@ -205,6 +237,7 @@ TEST(Decoders, UnionFindCorrectionReproducesSyndrome)
 
 TEST(Decoders, AstreaGPrunesAndStaysWithinBudget)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     LatencyConfig cfg;
     AstreaGDecoder ag(ctx.graph(), ctx.paths(), cfg);
@@ -214,7 +247,7 @@ TEST(Decoders, AstreaGPrunesAndStaysWithinBudget)
         const auto sample = sampler.sample(6, rng);
         DecodeTrace trace;
         const DecodeResult result =
-            ag.decode(sample.defects, &trace);
+            ag.decode(sample.defects, workspace, &trace);
         ASSERT_FALSE(result.aborted);
         EXPECT_LE(trace.searchStates, cfg.astreaGSearchBudget + 1);
         EXPECT_LE(result.latencyNs, cfg.budgetNs + 1e-9);
@@ -223,16 +256,20 @@ TEST(Decoders, AstreaGPrunesAndStaysWithinBudget)
 
 TEST(Decoders, ParallelPicksLowerWeightSide)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    auto parallel = makeDecoder("promatch_par_ag", ctx.graph(),
-                                ctx.paths());
+    auto parallel = build(
+        DecoderSpec::parse("promatch+astrea||astrea_g"), ctx.graph(),
+        ctx.paths());
     MwpmDecoder mwpm(ctx.graph(), ctx.paths());
     ImportanceSampler sampler(ctx.dem(), 4);
     Rng rng(5);
     for (int s = 0; s < 200; ++s) {
         const auto sample = sampler.sample(3, rng);
-        const DecodeResult par = parallel->decode(sample.defects);
-        const DecodeResult ideal = mwpm.decode(sample.defects);
+        const DecodeResult par =
+            parallel->decode(sample.defects, workspace);
+        const DecodeResult ideal =
+            mwpm.decode(sample.defects, workspace);
         ASSERT_FALSE(par.aborted);
         // The arbitrated weight can never beat the exact optimum.
         EXPECT_GE(par.weight + 1e-6, ideal.weight);
@@ -242,16 +279,21 @@ TEST(Decoders, ParallelPicksLowerWeightSide)
 TEST(Decoders, FactoryRejectsUnknownName)
 {
     const auto &ctx = ExperimentContext::get(3, 1e-3);
-    EXPECT_DEATH(
-        makeDecoder("no_such_decoder", ctx.graph(), ctx.paths()),
-        "unknown decoder");
+    EXPECT_THROW(build(DecoderSpec::parse("no_such_decoder"),
+                       ctx.graph(), ctx.paths()),
+                 SpecError);
+    // Legacy configuration names are not spec strings.
+    EXPECT_THROW(build(DecoderSpec::parse("promatch_astrea"),
+                       ctx.graph(), ctx.paths()),
+                 SpecError);
 }
 
 TEST(Decoders, NamesAreWellFormed)
 {
     const auto &ctx = ExperimentContext::get(3, 1e-3);
-    for (const std::string &name : decoderNames()) {
-        auto decoder = makeDecoder(name, ctx.graph(), ctx.paths());
+    for (const std::string &name : registryStacks()) {
+        auto decoder = build(DecoderSpec::parse(name), ctx.graph(),
+                             ctx.paths());
         EXPECT_FALSE(decoder->name().empty());
     }
 }

@@ -171,6 +171,7 @@ TEST(FaultInjector, WedgeMaskIsPerWorker)
 
 TEST(PredecodeCommit, CommitsPredecoderResolutionAndFlagsResidual)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = faultContext();
     BuildContext bc{ctx.graph(), ctx.paths(), {}, {}, {}};
     PredecodeCommitDecoder commit(
@@ -194,9 +195,9 @@ TEST(PredecodeCommit, CommitsPredecoderResolutionAndFlagsResidual)
         for (int s = 0; s < 50; ++s) {
             const auto sample = sampler.sample(k, rng);
             const DecodeResult got =
-                commit.decode(sample.defects);
-            const PredecodeResult pre =
-                reference->predecode(sample.defects, budget);
+                commit.decode(sample.defects, workspace);
+            PredecodeResult pre;
+            reference->predecode(sample.defects, budget, workspace, pre);
             // The commit tier answers with exactly what the
             // predecoder resolved; the residual is abandoned.
             EXPECT_EQ(got.predictedObs, pre.obsMask);
@@ -216,7 +217,7 @@ TEST(PredecodeCommit, CommitsPredecoderResolutionAndFlagsResidual)
     // Clones aggregate into the same counter.
     auto clone = commit.clone();
     const uint32_t lone[] = {0};
-    (void)clone->decode(lone);
+    (void)clone->decode(lone, workspace);
     EXPECT_GE(commit.flaggedDefects(), expectFlagged);
     commit.resetFlagged();
     EXPECT_EQ(commit.flaggedDefects(), 0u);
@@ -241,7 +242,6 @@ class TimedDecoder final : public Decoder
     {
     }
 
-    using Decoder::decode;
     DecodeResult
     decode(std::span<const uint32_t> defects,
            DecodeWorkspace &workspace,
@@ -268,6 +268,7 @@ class TimedDecoder final : public Decoder
 
 TEST(Fallback, DisabledBudgetIsBitIdenticalToPrimary)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = faultContext();
     auto primary = build(DecoderSpec::parse("promatch+astrea"),
                          ctx.graph(), ctx.paths());
@@ -283,9 +284,9 @@ TEST(Fallback, DisabledBudgetIsBitIdenticalToPrimary)
         for (int s = 0; s < 50; ++s) {
             const auto sample = sampler.sample(k, rng);
             const DecodeResult a =
-                primary->decode(sample.defects);
+                primary->decode(sample.defects, workspace);
             const DecodeResult b =
-                ladder->decode(sample.defects);
+                ladder->decode(sample.defects, workspace);
             ASSERT_EQ(a.predictedObs, b.predictedObs);
             ASSERT_EQ(a.weight, b.weight);
             ASSERT_EQ(a.latencyNs, b.latencyNs);
@@ -304,6 +305,7 @@ TEST(Fallback, DisabledBudgetIsBitIdenticalToPrimary)
 
 TEST(Fallback, EscalatesDownLadderWhenBudgetFires)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = faultContext();
     FakeTimeSource clock;
 
@@ -332,9 +334,10 @@ TEST(Fallback, EscalatesDownLadderWhenBudgetFires)
     uint64_t decodes = 0;
     for (int s = 0; s < 100; ++s) {
         const auto sample = sampler.sample(3, rng);
-        const DecodeResult got = ladder.decode(sample.defects);
+        const DecodeResult got =
+            ladder.decode(sample.defects, workspace);
         const DecodeResult want =
-            reference->decode(sample.defects);
+            reference->decode(sample.defects, workspace);
         ASSERT_EQ(got.predictedObs, want.predictedObs);
         ++decodes;
     }
@@ -347,6 +350,7 @@ TEST(Fallback, EscalatesDownLadderWhenBudgetFires)
 
 TEST(Fallback, LastTierOverrunIsAcceptedAndCounted)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = faultContext();
     FakeTimeSource clock;
     std::vector<std::unique_ptr<Decoder>> tiers;
@@ -361,7 +365,7 @@ TEST(Fallback, LastTierOverrunIsAcceptedAndCounted)
                            std::move(tiers), config);
 
     const uint32_t defects[] = {0, 1};
-    const DecodeResult got = ladder.decode(defects);
+    const DecodeResult got = ladder.decode(defects, workspace);
     (void)got;
     const FallbackStats stats = ladder.stats();
     EXPECT_EQ(stats.tierUsed[0], 1u);
@@ -371,13 +375,14 @@ TEST(Fallback, LastTierOverrunIsAcceptedAndCounted)
 
 TEST(Fallback, ClonesShareAggregatedStats)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = faultContext();
     auto ladder = makeDegradationLadder(ctx.graph(), ctx.paths(),
                                         {"mwpm", "sparse"});
     auto clone = ladder->clone();
     const uint32_t defects[] = {0, 1};
-    (void)ladder->decode(defects);
-    (void)clone->decode(defects);
+    (void)ladder->decode(defects, workspace);
+    (void)clone->decode(defects, workspace);
     EXPECT_EQ(ladder->stats().tierUsed[0], 2u);
     ladder->resetStats();
     EXPECT_EQ(ladder->stats().tierUsed[0], 0u);

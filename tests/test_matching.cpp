@@ -45,7 +45,9 @@ randomProblem(Rng &rng, int n, double no_edge_prob,
 void
 expectSolutionsMatch(const MatchingProblem &problem, int trial)
 {
-    const MatchingSolution oracle = solveExhaustive(problem);
+    ExhaustiveSolver exhaustive;
+    MatchingSolution oracle;
+    exhaustive.solve(problem, oracle);
     MatchingSolution blossom = solveBlossom(problem);
     ASSERT_EQ(oracle.valid, blossom.valid) << "trial " << trial;
     if (!oracle.valid) {
@@ -186,7 +188,10 @@ TEST(Blossom, InfeasibleWithoutBoundaryOddN)
     p.setPair(0, 2, 1.0);
     const MatchingSolution s = solveBlossom(p);
     EXPECT_FALSE(s.valid);
-    EXPECT_FALSE(solveExhaustive(p).valid);
+    ExhaustiveSolver exhaustive;
+    MatchingSolution oracle;
+    exhaustive.solve(p, oracle);
+    EXPECT_FALSE(oracle.valid);
 }
 
 TEST(Blossom, DenseEntryAcceptsEitherTriangle)
@@ -288,7 +293,9 @@ TEST(Exhaustive, CountsMatchingsWithoutPruning)
             p.setPair(i, j, 1.0);
         }
     }
-    const MatchingSolution s = solveExhaustive(p);
+    ExhaustiveSolver exhaustive;
+    MatchingSolution s;
+    exhaustive.solve(p, s);
     ASSERT_TRUE(s.valid);
     EXPECT_NEAR(s.totalWeight, 2.0, 1e-9); // Two pair matches.
 }

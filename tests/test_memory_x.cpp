@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "qec/decoders/mwpm_decoder.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/dem/decompose.hpp"
 #include "qec/graph/path_table.hpp"
 #include "qec/sim/error_enumerator.hpp"
@@ -60,6 +61,7 @@ TEST(MemoryX, DemIsGraphlikeToo)
 
 TEST(MemoryX, EverySingleFaultDecodesWithMwpm)
 {
+    DecodeWorkspace workspace;
     SurfaceCodeLayout layout(3);
     const MemoryExperiment exp =
         generateMemoryX(layout, 3, NoiseParams::uniform(1e-3));
@@ -71,7 +73,7 @@ TEST(MemoryX, EverySingleFaultDecodesWithMwpm)
     const PathTable paths(graph);
     MwpmDecoder decoder(graph, paths);
     for (const DemMechanism &m : dem.mechanisms()) {
-        const DecodeResult result = decoder.decode(m.dets);
+        const DecodeResult result = decoder.decode(m.dets, workspace);
         ASSERT_FALSE(result.aborted);
         ASSERT_EQ(result.predictedObs, m.obsMask);
     }

@@ -8,9 +8,10 @@
  *    any thread count;
  *  - estimateLer / estimateLerDirect are bit-identical for
  *    threads in {1, 2, 8};
- *  - decodeBatch matches sequential decode for every component in
- *    the DecoderRegistry (and every predecoder composed with a
- *    main decoder);
+ *  - WorkerDecoders + parallelFor (the harness's fork/join engine)
+ *    match sequential decode for every component in the
+ *    DecoderRegistry (and every predecoder composed with a main
+ *    decoder), traces included;
  *  - a recording SampleObserver sees the same samples, in the same
  *    order, with the same weights, for any thread count.
  */
@@ -23,7 +24,7 @@
 #include <vector>
 
 #include "qec/api/registry.hpp"
-#include "qec/decoders/factory.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/graph/path_table.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
@@ -165,7 +166,8 @@ TEST(ParallelLer, EstimateIsBitIdenticalAcrossThreadCounts)
 TEST(ParallelLer, DirectMonteCarloIsBitIdenticalAcrossThreadCounts)
 {
     const auto &ctx = ExperimentContext::get(3, 2e-3);
-    auto decoder = makeDecoder("mwpm", ctx.graph(), ctx.paths());
+    auto decoder = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+                         ctx.paths());
     // 1000 shots = 16 blocks (incl. a partial last block), enough
     // to exercise sharding plus the lane-tail path.
     const DirectMcResult reference =
@@ -226,7 +228,8 @@ TEST(ParallelLer, ObserverSeesIdenticalOrderedStreamAnyThreadCount)
 {
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     auto decoder =
-        makeDecoder("promatch_astrea", ctx.graph(), ctx.paths());
+        build(DecoderSpec::parse("promatch+astrea"), ctx.graph(),
+              ctx.paths());
     const std::vector<ObservedSample> serial =
         recordRun(ctx, *decoder, 1);
     ASSERT_EQ(serial.size(), 5u * 150u);
@@ -254,6 +257,21 @@ expectSameResult(const DecodeResult &a, const DecodeResult &b,
     EXPECT_EQ(a.latencyNs, b.latencyNs) << label;
     EXPECT_EQ(a.aborted, b.aborted) << label;
     EXPECT_EQ(a.realTime, b.realTime) << label;
+}
+
+void
+expectSameTrace(const DecodeTrace &a, const DecodeTrace &b,
+                const std::string &label)
+{
+    EXPECT_EQ(a.predecoderEngaged, b.predecoderEngaged) << label;
+    EXPECT_EQ(a.hwBefore, b.hwBefore) << label;
+    EXPECT_EQ(a.hwAfter, b.hwAfter) << label;
+    EXPECT_EQ(a.predecodeRounds, b.predecodeRounds) << label;
+    EXPECT_EQ(a.parallelWinner, b.parallelWinner) << label;
+    EXPECT_EQ(a.searchStates, b.searchStates) << label;
+    EXPECT_EQ(a.chainLengths, b.chainLengths) << label;
+    EXPECT_EQ(a.correctionEdges, b.correctionEdges) << label;
+    EXPECT_EQ(a.children.size(), b.children.size()) << label;
 }
 
 std::vector<std::vector<uint32_t>>
@@ -300,17 +318,28 @@ TEST(ParallelLer, DecodeBatchMatchesSequentialForEveryRegistrySpec)
         std::vector<DecodeResult> sequential;
         std::vector<DecodeTrace> sequential_traces(batch.size());
         sequential.reserve(batch.size());
+        DecodeWorkspace workspace;
         for (size_t i = 0; i < batch.size(); ++i) {
-            sequential.push_back(
-                decoder->decode(batch[i],
-                                &sequential_traces[i]));
+            sequential.push_back(decoder->decode(
+                batch[i], workspace, &sequential_traces[i]));
         }
-        for (int threads : {1, 4}) {
-            std::vector<DecodeTrace> traces;
-            const std::vector<DecodeResult> batched =
-                decoder->decodeBatch(batch, &traces, threads);
-            ASSERT_EQ(batched.size(), batch.size()) << spec;
-            ASSERT_EQ(traces.size(), batch.size()) << spec;
+        for (int threads : {1, 2, 8}) {
+            // The fork/join shape of estimateLer: one engine and
+            // one workspace per worker, results at their indices.
+            const WorkerDecoders engines(
+                *decoder, parallelWorkers(batch.size(), threads));
+            std::vector<DecodeResult> batched(batch.size());
+            std::vector<DecodeTrace> traces(batch.size());
+            parallelFor(batch.size(), threads,
+                        [&](size_t begin, size_t end, int worker) {
+                            Decoder *engine = engines.engine(worker);
+                            DecodeWorkspace &ws =
+                                engines.workspace(worker);
+                            for (size_t i = begin; i < end; ++i) {
+                                batched[i] = engine->decode(
+                                    batch[i], ws, &traces[i]);
+                            }
+                        });
             for (size_t i = 0; i < batch.size(); ++i) {
                 const std::string label =
                     spec + " threads=" +
@@ -318,12 +347,9 @@ TEST(ParallelLer, DecodeBatchMatchesSequentialForEveryRegistrySpec)
                     std::to_string(i);
                 expectSameResult(sequential[i], batched[i],
                                  label);
-                // Introspection must match too — chain lengths
-                // moved from DecodeResult to DecodeTrace in the
-                // workspace refactor.
-                EXPECT_EQ(sequential_traces[i].chainLengths,
-                          traces[i].chainLengths)
-                    << label;
+                // Introspection must match too.
+                expectSameTrace(sequential_traces[i], traces[i],
+                                label);
             }
         }
     }
@@ -335,7 +361,8 @@ TEST(ParallelLer, DecodeFilterSkipsDeterministicallyAcrossThreads)
     // the observer, count it as non-failing, and preserve
     // bit-identity across thread counts.
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    auto decoder = makeDecoder("mwpm", ctx.graph(), ctx.paths());
+    auto decoder = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+                         ctx.paths());
     LerOptions options;
     options.kMax = 5;
     options.samplesPerK = 150;

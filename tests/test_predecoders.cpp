@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <set>
 
+#include "qec/decoders/workspace.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
 #include "qec/predecode/clique.hpp"
@@ -47,12 +48,13 @@ highHwSyndromes(const ExperimentContext &ctx, int count,
 
 TEST(Promatch, ReducesHighHwToTenOrLess)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
     for (const auto &defects :
          highHwSyndromes(ctx, 50, 0xfeed)) {
-        const PredecodeResult result =
-            promatch.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        promatch.predecode(defects, kBudgetCycles, workspace, result);
         EXPECT_LE(result.residual.size(), 10u)
             << "HW " << defects.size() << " not reduced";
         EXPECT_GE(result.cycles, 0);
@@ -62,11 +64,12 @@ TEST(Promatch, ReducesHighHwToTenOrLess)
 
 TEST(Promatch, ResidualIsSubsetOfInput)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
     for (const auto &defects : highHwSyndromes(ctx, 30, 0xbee)) {
-        const PredecodeResult result =
-            promatch.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        promatch.predecode(defects, kBudgetCycles, workspace, result);
         const std::set<uint32_t> input(defects.begin(),
                                        defects.end());
         for (uint32_t det : result.residual) {
@@ -80,14 +83,16 @@ TEST(Promatch, ResidualIsSubsetOfInput)
 
 TEST(Promatch, LowHwWithFixedTargetIsUntouched)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
     ImportanceSampler sampler(ctx.dem(), 4);
     Rng rng(1);
     const auto sample = sampler.sample(2, rng);
     if (sample.defects.size() <= 10) {
-        const PredecodeResult result =
-            promatch.predecode(sample.defects, kBudgetCycles);
+        PredecodeResult result;
+        promatch.predecode(sample.defects, kBudgetCycles,
+                           workspace, result);
         EXPECT_EQ(result.residual, sample.defects);
         EXPECT_EQ(result.cycles, 0);
     }
@@ -98,6 +103,7 @@ TEST(Promatch, IsolatedPairIsMatchedByStep1)
     // Construct a syndrome that is exactly one adjacent pair plus a
     // spread of 10 far-apart defects so HW = 12 > 10 engages the
     // predecoder; the pair must fall to Step 1.
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     const DecodingGraph &graph = ctx.graph();
 
@@ -134,8 +140,8 @@ TEST(Promatch, IsolatedPairIsMatchedByStep1)
     std::sort(defects.begin(), defects.end());
 
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
-    const PredecodeResult result =
-        promatch.predecode(defects, kBudgetCycles);
+    PredecodeResult result;
+    promatch.predecode(defects, kBudgetCycles, workspace, result);
     EXPECT_TRUE(result.steps.step1);
     // The isolated pair must be gone from the residual.
     EXPECT_FALSE(std::binary_search(result.residual.begin(),
@@ -147,13 +153,14 @@ TEST(Promatch, StepUsageIsDominatedByStep1)
 {
     // Table 6: the overwhelming majority of high-HW syndromes need
     // only Step 1.
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
     int step1_only = 0, total = 0;
     for (const auto &defects :
          highHwSyndromes(ctx, 100, 0xcafe)) {
-        const PredecodeResult result =
-            promatch.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        promatch.predecode(defects, kBudgetCycles, workspace, result);
         ++total;
         if (result.steps.deepest() <= 1) {
             ++step1_only;
@@ -166,13 +173,14 @@ TEST(Promatch, AdaptiveTargetDropsWhenBudgetShrinks)
 {
     // With a tiny budget the adaptive target must fall below 10,
     // forcing deeper predecoding than the default budget needs.
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
     for (const auto &defects : highHwSyndromes(ctx, 20, 0x77)) {
-        const PredecodeResult rich =
-            promatch.predecode(defects, kBudgetCycles);
-        const PredecodeResult poor =
-            promatch.predecode(defects, 30);
+        PredecodeResult rich;
+        promatch.predecode(defects, kBudgetCycles, workspace, rich);
+        PredecodeResult poor;
+        promatch.predecode(defects, 30, workspace, poor);
         EXPECT_LE(poor.residual.size(), 8u)
             << "tight budget should force HW <= 8";
         EXPECT_LE(poor.residual.size(), rich.residual.size() + 0u);
@@ -181,6 +189,7 @@ TEST(Promatch, AdaptiveTargetDropsWhenBudgetShrinks)
 
 TEST(Promatch, ExactAndHardwareSingletonChecksBothCovered)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     PromatchConfig hw_cfg;
     PromatchConfig exact_cfg;
@@ -189,10 +198,10 @@ TEST(Promatch, ExactAndHardwareSingletonChecksBothCovered)
     PromatchPredecoder exact(ctx.graph(), ctx.paths(), {},
                              exact_cfg);
     for (const auto &defects : highHwSyndromes(ctx, 30, 0x88)) {
-        const PredecodeResult a =
-            hw.predecode(defects, kBudgetCycles);
-        const PredecodeResult b =
-            exact.predecode(defects, kBudgetCycles);
+        PredecodeResult a;
+        hw.predecode(defects, kBudgetCycles, workspace, a);
+        PredecodeResult b;
+        exact.predecode(defects, kBudgetCycles, workspace, b);
         EXPECT_LE(a.residual.size(), 10u);
         EXPECT_LE(b.residual.size(), 10u);
     }
@@ -200,6 +209,7 @@ TEST(Promatch, ExactAndHardwareSingletonChecksBothCovered)
 
 TEST(Promatch, ParallelLanesReduceCycleCharge)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     LatencyConfig one_lane;
     LatencyConfig four_lanes;
@@ -207,10 +217,10 @@ TEST(Promatch, ParallelLanesReduceCycleCharge)
     PromatchPredecoder pm1(ctx.graph(), ctx.paths(), one_lane);
     PromatchPredecoder pm4(ctx.graph(), ctx.paths(), four_lanes);
     for (const auto &defects : highHwSyndromes(ctx, 20, 0x4a)) {
-        const PredecodeResult r1 =
-            pm1.predecode(defects, kBudgetCycles);
-        const PredecodeResult r4 =
-            pm4.predecode(defects, kBudgetCycles);
+        PredecodeResult r1;
+        pm1.predecode(defects, kBudgetCycles, workspace, r1);
+        PredecodeResult r4;
+        pm4.predecode(defects, kBudgetCycles, workspace, r4);
         EXPECT_LE(r4.cycles, r1.cycles);
         // Lanes change timing, not the matching decisions made
         // before the adaptive target reacts to the cheaper cycles;
@@ -221,11 +231,12 @@ TEST(Promatch, ParallelLanesReduceCycleCharge)
 
 TEST(Smith, OnePassMatchesOnlyAdjacentPairs)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     SmithPredecoder smith(ctx.graph(), ctx.paths());
     for (const auto &defects : highHwSyndromes(ctx, 30, 0x99)) {
-        const PredecodeResult result =
-            smith.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        smith.predecode(defects, kBudgetCycles, workspace, result);
         EXPECT_EQ(result.rounds, 1);
         // Parity: matched count is even.
         EXPECT_EQ((defects.size() - result.residual.size()) % 2,
@@ -239,11 +250,12 @@ TEST(Smith, OnePassMatchesOnlyAdjacentPairs)
 
 TEST(Pinball, ResidualIsSortedSubsetWithConsistentParity)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     PinballPredecoder pinball(ctx.graph(), ctx.paths());
     for (const auto &defects : highHwSyndromes(ctx, 30, 0x31)) {
-        const PredecodeResult result =
-            pinball.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        pinball.predecode(defects, kBudgetCycles, workspace, result);
         const std::set<uint32_t> input(defects.begin(),
                                        defects.end());
         for (uint32_t det : result.residual) {
@@ -263,13 +275,14 @@ TEST(Pinball, RoundsAndCyclesAreBounded)
     // The modeled pipeline is fixed-latency: at most
     // PinballConfig::rounds propose/commit rounds, each at a
     // constant cycle charge, independent of the Hamming weight.
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     PinballConfig config;
     config.rounds = 3;
     PinballPredecoder pinball(ctx.graph(), ctx.paths(), config);
     for (const auto &defects : highHwSyndromes(ctx, 30, 0x32)) {
-        const PredecodeResult result =
-            pinball.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        pinball.predecode(defects, kBudgetCycles, workspace, result);
         EXPECT_GE(result.rounds, 1);
         EXPECT_LE(result.rounds, 3);
         EXPECT_EQ(result.cycles % result.rounds, 0)
@@ -283,6 +296,7 @@ TEST(Pinball, MatchesIsolatedPairViaMutualSelection)
     // An isolated adjacent pair is each endpoint's only pattern
     // hit, so the selections are mutual and the pair commits in
     // round 1.
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     const DecodingGraph &graph = ctx.graph();
     int pair_edge = -1;
@@ -298,8 +312,8 @@ TEST(Pinball, MatchesIsolatedPairViaMutualSelection)
     std::sort(defects.begin(), defects.end());
 
     PinballPredecoder pinball(ctx.graph(), ctx.paths());
-    const PredecodeResult result =
-        pinball.predecode(defects, kBudgetCycles);
+    PredecodeResult result;
+    pinball.predecode(defects, kBudgetCycles, workspace, result);
     EXPECT_FALSE(std::binary_search(result.residual.begin(),
                                     result.residual.end(), edge.u));
     EXPECT_FALSE(std::binary_search(result.residual.begin(),
@@ -312,6 +326,7 @@ TEST(Pinball, BoundaryPatternIsConfigurable)
     // A lone flipped bit with a boundary edge commits to the
     // boundary pattern; with pinball_boundary off it must survive
     // to the residual.
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     const DecodingGraph &graph = ctx.graph();
     uint32_t lone = kBoundary;
@@ -325,8 +340,8 @@ TEST(Pinball, BoundaryPatternIsConfigurable)
     const std::vector<uint32_t> defects = {lone};
 
     PinballPredecoder with_boundary(ctx.graph(), ctx.paths());
-    const PredecodeResult hit =
-        with_boundary.predecode(defects, kBudgetCycles);
+    PredecodeResult hit;
+    with_boundary.predecode(defects, kBudgetCycles, workspace, hit);
     EXPECT_TRUE(hit.residual.empty());
     const uint32_t beid =
         static_cast<uint32_t>(graph.boundaryEdge(lone));
@@ -336,22 +351,23 @@ TEST(Pinball, BoundaryPatternIsConfigurable)
     no_boundary.matchBoundary = false;
     PinballPredecoder without(ctx.graph(), ctx.paths(),
                               no_boundary);
-    const PredecodeResult miss =
-        without.predecode(defects, kBudgetCycles);
+    PredecodeResult miss;
+    without.predecode(defects, kBudgetCycles, workspace, miss);
     EXPECT_EQ(miss.residual, defects);
     EXPECT_EQ(miss.obsMask, 0ull);
 }
 
 TEST(Pinball, CloneIsBitIdentical)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     PinballPredecoder pinball(ctx.graph(), ctx.paths());
     auto clone = pinball.clone();
     for (const auto &defects : highHwSyndromes(ctx, 20, 0x33)) {
-        const PredecodeResult a =
-            pinball.predecode(defects, kBudgetCycles);
-        const PredecodeResult b =
-            clone->predecode(defects, kBudgetCycles);
+        PredecodeResult a;
+        pinball.predecode(defects, kBudgetCycles, workspace, a);
+        PredecodeResult b;
+        clone->predecode(defects, kBudgetCycles, workspace, b);
         EXPECT_EQ(a.residual, b.residual);
         EXPECT_EQ(a.obsMask, b.obsMask);
         EXPECT_EQ(a.weight, b.weight);
@@ -362,12 +378,13 @@ TEST(Pinball, CloneIsBitIdentical)
 
 TEST(Clique, AllOrNothingContract)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     CliquePredecoder clique(ctx.graph(), ctx.paths());
     int forwarded = 0, decoded = 0;
     for (const auto &defects : highHwSyndromes(ctx, 50, 0xaa)) {
-        const PredecodeResult result =
-            clique.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        clique.predecode(defects, kBudgetCycles, workspace, result);
         EXPECT_TRUE(result.forwarded || result.decodedAll);
         if (result.forwarded) {
             ++forwarded;
@@ -385,11 +402,12 @@ TEST(Clique, AllOrNothingContract)
 
 TEST(Hierarchical, ForwardsComplexSyndromes)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(9, 1e-3);
     HierarchicalPredecoder hier(ctx.graph(), ctx.paths());
     for (const auto &defects : highHwSyndromes(ctx, 20, 0xbb)) {
-        const PredecodeResult result =
-            hier.predecode(defects, kBudgetCycles);
+        PredecodeResult result;
+        hier.predecode(defects, kBudgetCycles, workspace, result);
         EXPECT_TRUE(result.forwarded || result.decodedAll);
     }
 }

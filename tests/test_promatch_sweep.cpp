@@ -10,6 +10,7 @@
 #include <set>
 
 #include "qec/decoders/latency.hpp"
+#include "qec/decoders/workspace.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
 #include "qec/predecode/promatch.hpp"
@@ -42,6 +43,7 @@ class PromatchSweep : public ::testing::TestWithParam<SweepParam>
 
 TEST_P(PromatchSweep, InvariantsHoldOnHighHwStream)
 {
+    DecodeWorkspace workspace;
     const SweepParam param = GetParam();
     const auto &ctx =
         ExperimentContext::get(param.distance, param.p);
@@ -66,8 +68,8 @@ TEST_P(PromatchSweep, InvariantsHoldOnHighHwStream)
             continue;
         }
         ++checked;
-        const PredecodeResult result =
-            promatch.predecode(sample.defects, budget);
+        PredecodeResult result;
+        promatch.predecode(sample.defects, budget, workspace, result);
 
         // Coverage: residual must fit the main decoder.
         EXPECT_LE(result.residual.size(), 10u);
@@ -113,6 +115,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(PromatchBudget, TighterBudgetNeverLoosensCoverage)
 {
+    DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(11, 1e-4);
     PromatchPredecoder promatch(ctx.graph(), ctx.paths());
     ImportanceSampler sampler(ctx.dem(), 20);
@@ -126,8 +129,9 @@ TEST(PromatchBudget, TighterBudgetNeverLoosensCoverage)
         ++checked;
         size_t prev_residual = 1000;
         for (long long budget : {240ll, 150ll, 40ll}) {
-            const PredecodeResult result =
-                promatch.predecode(sample.defects, budget);
+            PredecodeResult result;
+            promatch.predecode(sample.defects, budget,
+                               workspace, result);
             EXPECT_LE(result.residual.size(), prev_residual);
             prev_residual = result.residual.size();
         }

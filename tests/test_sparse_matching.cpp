@@ -35,7 +35,6 @@
 
 #include "qec/api/decoder_spec.hpp"
 #include "qec/api/registry.hpp"
-#include "qec/decoders/factory.hpp"
 #include "qec/decoders/workspace.hpp"
 #include "qec/graph/decoding_graph.hpp"
 #include "qec/graph/distance_oracle.hpp"
@@ -438,8 +437,10 @@ TEST(SparseMatch, LerMatchesDenseMwpm)
     // need not be bit-equal because equal-weight optima may predict
     // different observables.
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    auto dense = makeDecoder("mwpm", ctx.graph(), ctx.paths());
-    auto sparse = makeDecoder("sparse", ctx.graph(), ctx.paths());
+    auto dense = build(DecoderSpec::parse("mwpm"), ctx.graph(),
+                       ctx.paths());
+    auto sparse = build(DecoderSpec::parse("sparse"), ctx.graph(),
+                        ctx.paths());
     ImportanceSampler sampler(ctx.dem(), 10);
     DecodeWorkspace denseWs;
     DecodeWorkspace sparseWs;

@@ -5,12 +5,10 @@
  *  - a counting global allocator proves that steady-state decoding
  *    (after a warmup pass over the same syndrome set) performs
  *    ZERO heap allocations for promatch+astrea, astrea_g, and
- *    mwpm — both through an explicit caller-owned workspace and
- *    through the decoder's internal one — and for the sparse
- *    stacks on a DeferPairs table as well as a dense one;
- *  - decode results are bit-identical with and without an explicit
- *    workspace, serially and through decodeBatch at threads
- *    {1, 8};
+ *    mwpm through a caller-owned workspace, for the sparse stacks
+ *    on a DeferPairs table as well as a dense one, and for
+ *    DecodeServer streaming on the workspace each StreamingDecoder
+ *    owns;
  *  - MonotonicArena / ArenaVector unit behavior (reset keeps
  *    capacity, growth preserves contents);
  *  - SyndromeSubgraph rebuild-in-place equivalence.
@@ -215,28 +213,6 @@ TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
     }
 }
 
-TEST(WorkspaceZeroAlloc, InternalWorkspaceSteadyState)
-{
-    const auto &ctx = ExperimentContext::get(7, 1e-3);
-    const auto batch = syndromeSet(ctx);
-    for (const char *spec : kZeroAllocSpecs) {
-        auto decoder = build(DecoderSpec::parse(spec),
-                             ctx.graph(), ctx.paths());
-        uint64_t sink = 0;
-        for (const auto &s : batch) {
-            sink ^= decoder->decode(s).predictedObs;
-        }
-        const uint64_t before = g_allocations.load();
-        for (const auto &s : batch) {
-            sink ^= decoder->decode(s).predictedObs;
-        }
-        const uint64_t after = g_allocations.load();
-        EXPECT_EQ(after - before, 0u)
-            << spec << " allocated in steady state (sink=" << sink
-            << ")";
-    }
-}
-
 TEST(WorkspaceZeroAlloc, DecodeBlockSteadyState)
 {
     // The 64-lane block path must also run allocation-free once
@@ -275,58 +251,6 @@ TEST(WorkspaceZeroAlloc, DecodeBlockSteadyState)
         EXPECT_EQ(after - before, 0u)
             << spec << (paths->pairsAvailable() ? "" : " (deferred)")
             << " decodeBlock allocated in steady state";
-    }
-}
-
-void
-expectSameResult(const DecodeResult &a, const DecodeResult &b,
-                 const std::string &label)
-{
-    EXPECT_EQ(a.predictedObs, b.predictedObs) << label;
-    EXPECT_EQ(a.weight, b.weight) << label;
-    EXPECT_EQ(a.latencyNs, b.latencyNs) << label;
-    EXPECT_EQ(a.aborted, b.aborted) << label;
-    EXPECT_EQ(a.realTime, b.realTime) << label;
-}
-
-TEST(Workspace, ExplicitAndInternalWorkspacesAreBitIdentical)
-{
-    // The same decoder must produce identical results whether the
-    // caller supplies a (reused) workspace, relies on the internal
-    // one, or decodes through the threaded batch path — at thread
-    // counts 1 and 8.
-    const auto &ctx = ExperimentContext::get(7, 1e-3);
-    const auto batch = syndromeSet(ctx);
-    for (const char *spec : kZeroAllocSpecs) {
-        auto internal = build(DecoderSpec::parse(spec),
-                              ctx.graph(), ctx.paths());
-        auto explicit_ws = build(DecoderSpec::parse(spec),
-                                 ctx.graph(), ctx.paths());
-        DecodeWorkspace workspace;
-        std::vector<DecodeResult> reference;
-        reference.reserve(batch.size());
-        for (const auto &s : batch) {
-            reference.push_back(internal->decode(s));
-        }
-        for (size_t i = 0; i < batch.size(); ++i) {
-            expectSameResult(
-                reference[i],
-                explicit_ws->decode(batch[i], workspace),
-                std::string(spec) + " explicit-ws sample " +
-                    std::to_string(i));
-        }
-        for (int threads : {1, 8}) {
-            const std::vector<DecodeResult> batched =
-                internal->decodeBatch(batch, nullptr, threads);
-            ASSERT_EQ(batched.size(), batch.size());
-            for (size_t i = 0; i < batch.size(); ++i) {
-                expectSameResult(
-                    reference[i], batched[i],
-                    std::string(spec) + " threads=" +
-                        std::to_string(threads) + " sample " +
-                        std::to_string(i));
-            }
-        }
     }
 }
 
