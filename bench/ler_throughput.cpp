@@ -295,8 +295,8 @@ printSparseHighDistance(Bench &bench, int threads)
     const int k_lo = 3, k_hi = 10;
 
     ReportTable table(
-        "Match stage, dense mwpm (S x S table rows) vs sparse "
-        "local growth (DeferPairs + on-demand Dijkstra)",
+        "Match stage, mwpm on dense table rows vs sparse on "
+        "DeferPairs (on-demand Dijkstra); one matcher, two backends",
         {"d", "matcher", "pair table", "wall s", "ns/call",
          "samples/s", "speedup"});
     for (int d : {11, 13, 17}) {
@@ -593,18 +593,10 @@ main(int argc, char **argv)
                             "pinball_");
         // Sparse-matcher stack at the same d = 11 operating point:
         // its stage_match_share is the headline the sparse matching
-        // core is accountable for (compared against the dense
-        // stack's stage_match_share by CI's bench-smoke guard).
+        // core is accountable for (compared against the committed
+        // artifact by CI's bench-smoke guard).
         printStageBreakdown(bench, ctx, "promatch+sparse", options,
                             "sparse_");
-        // The exact dense matcher behind the same predecoder is the
-        // apples-to-apples baseline the sparse core replaces (the
-        // default stack's Astrea stage is an approximate hardware
-        // model, so its share is not comparable): the
-        // dense_exact_/sparse_ note pairs record the match-stage
-        // samples/s improvement in the committed JSON.
-        printStageBreakdown(bench, ctx, "promatch+mwpm", options,
-                            "dense_exact_");
         printSparseHighDistance(bench, options.threads);
     }
     printPredecoderComparison(bench, ctx, options);

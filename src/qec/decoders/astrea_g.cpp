@@ -40,7 +40,7 @@ AstreaGDecoder::decode(std::span<const uint32_t> defects,
     for (int i = 0; i < dg.problem.n; ++i) {
         for (int j = i + 1; j < dg.problem.n; ++j) {
             if (dg.problem.pair(i, j) != kNoEdge &&
-                dg.problem.pair(i, j) > max_weight) {
+                toNats(dg.problem.pair(i, j)) > max_weight) {
                 dg.problem.setPair(i, j, kNoEdge);
             }
         }

@@ -33,7 +33,8 @@ struct StageOutcome
  * syndrome locally. NSM forwarding overlaps the stages (the main
  * decoder already had the unmodified syndrome, Fig. 3(a)), every
  * other handoff serializes them, and any result over the budget
- * aborts (§6.4).
+ * aborts (§6.4). A result the main decoder took part in is real-time
+ * only if the main decoder is.
  */
 template <class MainDecode>
 inline DecodeResult
@@ -64,6 +65,7 @@ composeStages(const StageOutcome *pre, double budget_ns,
             : pre->predecodeNs + main_result.latencyNs;
     result.aborted =
         main_result.aborted || result.latencyNs > budget_ns;
+    result.realTime = main_result.realTime;
     return result;
 }
 

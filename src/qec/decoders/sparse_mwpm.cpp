@@ -38,12 +38,24 @@ SparseMwpmDecoder::decode(std::span<const uint32_t> defects,
     return result;
 }
 
+namespace
+{
+
+std::unique_ptr<Decoder>
+makeSparseMwpm(const BuildContext &context)
+{
+    return std::make_unique<SparseMwpmDecoder>(context.graph,
+                                               context.paths);
+}
+
+} // namespace
+
+QEC_REGISTER_DECODER(
+    mwpm, "idealized software MWPM (exact, not real-time)",
+    makeSparseMwpm);
 QEC_REGISTER_DECODER(
     sparse,
     "exact MWPM via sparse local growth (PathTable-pair-free)",
-    [](const BuildContext &context) {
-        return std::make_unique<SparseMwpmDecoder>(context.graph,
-                                                   context.paths);
-    });
+    makeSparseMwpm);
 
 } // namespace qec

@@ -1,15 +1,16 @@
 /**
  * @file
- * Sparse exact MWPM decoder — the high-distance matching core.
+ * Idealized (software) MWPM decoder — the accuracy gold standard
+ * (the paper's "MWPM (Ideal)" baseline, §5.2).
  *
- * Same accuracy contract as MwpmDecoder (exact minimum-weight
- * matching, not real-time), but built on the sparse local-growth
- * matcher: no dense S×S problem matrix, and no dependency on the
- * O(V²) pair half of the PathTable — it runs unchanged on a table
- * built with PathTable::DeferPairs, which is what makes d = 21
- * stacks constructible at all. Registered as component "sparse";
- * select it anywhere a main decoder goes in a spec string (e.g.
- * "sparse", "promatch+sparse").
+ * Exact minimum-weight matching, not real-time (realTime is false,
+ * latency zero), built on the sparse local-growth matcher: no dense
+ * S×S problem matrix, and no dependency on the O(V²) pair half of
+ * the PathTable — it reads dense table rows when they exist and runs
+ * unchanged on a table built with PathTable::DeferPairs, which is
+ * what makes d = 21 stacks constructible at all. Registered as both
+ * "mwpm" and "sparse"; select it anywhere a main decoder goes in a
+ * spec string (e.g. "mwpm", "promatch+sparse").
  */
 
 #ifndef QEC_DECODERS_SPARSE_MWPM_HPP
@@ -36,7 +37,7 @@ class SparseMwpmDecoder : public Decoder
         return std::make_unique<SparseMwpmDecoder>(graph_, paths_);
     }
 
-    std::string name() const override { return "SparseMWPM"; }
+    std::string name() const override { return "MWPM"; }
 
     /** The sparse core never reads the gathered DistanceView, so
      *  pipeline stacks skip the shared union pre-gather. */

@@ -279,7 +279,7 @@ UnionFindDecoder::decode(std::span<const uint32_t> defects,
         s.flagged[d] = 1;
     }
     uint64_t obs = 0;
-    double weight = 0.0;
+    Weight weight = 0;
     for (auto it = s.order.rbegin(); it != s.order.rend(); ++it) {
         const uint32_t u = *it;
         if (!s.flagged[u]) {
@@ -311,7 +311,7 @@ UnionFindDecoder::decode(std::span<const uint32_t> defects,
     }
 
     result.predictedObs = obs;
-    result.weight = weight;
+    result.weight = toNats(weight);
     // Union-find is fast in hardware; model a token latency that is
     // always within budget (AFS reports sub-500ns for these sizes).
     result.latencyNs = 420.0;

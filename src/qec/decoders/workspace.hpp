@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "qec/graph/distance_view.hpp"
-#include "qec/matching/blossom.hpp"
 #include "qec/matching/defect_graph.hpp"
 #include "qec/matching/exhaustive.hpp"
 #include "qec/matching/near_exhaustive.hpp"
@@ -92,8 +91,6 @@ struct DecodeWorkspace
     DefectGraph defectGraph;
     /** Matching layer: the solution slot shared by all solvers. */
     MatchingSolution solution;
-    /** Reusable exact blossom engine (MWPM decoder). */
-    BlossomSolver blossom;
     /** Reusable brute-force engine (Astrea model). */
     ExhaustiveSolver exhaustive;
     /** Reusable budgeted branch-and-bound engine (Astrea-G). */

@@ -3,18 +3,23 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 
+#include "qec/dem/dem.hpp"
 #include "qec/util/assert.hpp"
 
 namespace qec
 {
 
-double
+Weight
 probToWeight(double prob)
 {
-    QEC_ASSERT(prob > 0.0 && prob < 0.5,
-               "edge probability must be in (0, 0.5)");
-    return std::log((1.0 - prob) / prob);
+    if (!(prob > 0.0 && prob < 0.5)) {
+        throw DemError("edge probability " + std::to_string(prob) +
+                       " is outside (0, 0.5)");
+    }
+    return std::max<Weight>(
+        1, std::llround(std::log((1.0 - prob) / prob) / kWeightUnit));
 }
 
 DecodingGraph
@@ -71,16 +76,28 @@ DecodingGraph::fromDem(const GraphlikeDem &dem,
         }
     }
 
-    // SoA hot fields: bit-copies of the AoS (weight narrowed to
-    // float, the documented inner-loop precision).
+    // SoA hot fields: copies of the AoS. A path has at most V edges
+    // (V - 1 pair edges and a boundary edge), so the check below
+    // keeps every path distance below kNoPath.
     const size_t m = graph.edges_.size();
-    graph.edgeWeightF_.resize(m);
+    for (const GraphEdge &edge : graph.edges_) {
+        graph.maxEdgeWeight_ =
+            std::max(graph.maxEdgeWeight_, edge.weight);
+    }
+    if (graph.maxEdgeWeight_ *
+            std::max<Weight>(dem.numDetectors, 1) >=
+        Weight{kNoPath}) {
+        throw DemError("edge weights too large: a path of " +
+                       std::to_string(dem.numDetectors) +
+                       " edges would overflow a 32-bit distance");
+    }
+    graph.edgeWeight_.resize(m);
     graph.edgeObs_.resize(m);
     graph.edgeEndU_.resize(m);
     graph.edgeEndV_.resize(m);
     for (size_t e = 0; e < m; ++e) {
         const GraphEdge &edge = graph.edges_[e];
-        graph.edgeWeightF_[e] = static_cast<float>(edge.weight);
+        graph.edgeWeight_[e] = static_cast<uint32_t>(edge.weight);
         graph.edgeObs_[e] = edge.obsMask;
         graph.edgeEndU_[e] = edge.u;
         graph.edgeEndV_[e] = edge.v;
@@ -116,16 +133,15 @@ DecodingGraph::fromDem(const GraphlikeDem &dem,
         graph.adjEdgeIds_[adjFill[edge.u]++] = edge.id;
         if (edge.v != kBoundary) {
             graph.adjEdgeIds_[adjFill[edge.v]++] = edge.id;
-            graph.pairWeights_[pairFill[edge.u]] = edge.weight;
+            graph.pairWeights_[pairFill[edge.u]] =
+                graph.edgeWeight_[edge.id];
             graph.pairHalfEdges_[pairFill[edge.u]++] = {edge.v,
                                                         edge.id};
-            graph.pairWeights_[pairFill[edge.v]] = edge.weight;
+            graph.pairWeights_[pairFill[edge.v]] =
+                graph.edgeWeight_[edge.id];
             graph.pairHalfEdges_[pairFill[edge.v]++] = {edge.u,
                                                         edge.id};
         }
-    }
-    for (double weight : graph.pairWeights_) {
-        graph.maxPairWeight_ = std::max(graph.maxPairWeight_, weight);
     }
     return graph;
 }

@@ -5,20 +5,17 @@
  * Nodes are detectors (plus one virtual boundary); edges are graphlike
  * error mechanisms weighted by w = log((1-p)/p), so that a
  * minimum-weight matching corresponds to a maximum-probability error
- * hypothesis.
+ * hypothesis. fromDem rounds each weight once to an integer count of
+ * kWeightUnit (weight.hpp); that integer is the only weight any
+ * decoder reads.
  *
  * Data layout (docs/api.md "Data layout"): adjacency is stored as a
  * CSR — one offsets array plus one flat edge-id array — instead of a
  * vector-of-vectors, and the edge fields consulted by the decode
  * inner loops (weight, observable mask, endpoints) are additionally
- * split into SoA arrays. The weight SoA is float: path distances are
- * already float in the PathTable, and a 24-bit mantissa is far below
- * the physical uncertainty of any error prior. The full-precision
- * GraphEdge AoS remains the construction-time source of truth (the
- * PathTable Dijkstra accumulates the double weights); pairWeights()
- * copies those doubles next to the pair-edge CSR once, so the
- * on-demand DistanceOracle accumulates the same values without
- * chasing edge ids.
+ * split into SoA arrays. pairWeights() copies the weights next to
+ * the pair-edge CSR once, so the shortest-path searches read them
+ * without chasing edge ids.
  */
 
 #ifndef QEC_GRAPH_DECODING_GRAPH_HPP
@@ -29,6 +26,7 @@
 #include <vector>
 
 #include "qec/dem/decompose.hpp"
+#include "qec/graph/weight.hpp"
 #include "qec/surface/circuit_gen.hpp"
 
 namespace qec
@@ -41,7 +39,7 @@ struct GraphEdge
     uint32_t u = 0;         //!< First detector.
     uint32_t v = kBoundary; //!< Second detector or kBoundary.
     double prob = 0.0;      //!< Combined mechanism probability.
-    double weight = 0.0;    //!< log((1-p)/p).
+    Weight weight = 0;      //!< probToWeight(prob).
     uint64_t obsMask = 0;   //!< Observables crossed by this edge.
 };
 
@@ -61,6 +59,11 @@ class DecodingGraph
      * observable masks are merged into the most probable variant
      * (with XOR-combined probability); the number of such conflicts
      * is reported by obsConflicts().
+     *
+     * Throws DemError when a merged edge probability lies outside
+     * (0, 0.5) or is NaN, or when the longest possible path (V
+     * edges of the largest weight) would not fit in a 32-bit
+     * PathCell distance.
      *
      * @param coords optional space-time coordinates per detector
      *               (from MemoryExperiment), used by predecoder
@@ -96,26 +99,21 @@ class DecodingGraph
                 pairHalfEdges_.data() + pairOffsets_[det + 1]};
     }
 
-    /**
-     * Full-precision weights of pairNeighbors(det), index for index
-     * (bit-copies of GraphEdge::weight). The on-demand Dijkstra
-     * accumulates these doubles without touching the GraphEdge AoS.
-     */
-    std::span<const double>
+    /** Weights of pairNeighbors(det), index for index. */
+    std::span<const uint32_t>
     pairWeights(uint32_t det) const
     {
         return {pairWeights_.data() + pairOffsets_[det],
                 pairWeights_.data() + pairOffsets_[det + 1]};
     }
 
-    /** Largest detector-detector edge weight (0 when the graph has
-     *  no pair edges); sets the oracle's bucket width. */
-    double maxPairWeight() const { return maxPairWeight_; }
+    /** Largest edge weight, boundary edges included (0 when the
+     *  graph has no edges); sizes the oracle's bucket ring. */
+    Weight maxEdgeWeight() const { return maxEdgeWeight_; }
 
-    // --- SoA hot fields, bit-copied from the GraphEdge AoS at
-    // construction (weight additionally narrowed to float — the
-    // documented precision choice of the decode inner loops).
-    float edgeWeight(uint32_t eid) const { return edgeWeightF_[eid]; }
+    // --- SoA hot fields, copied from the GraphEdge AoS at
+    // construction.
+    Weight edgeWeight(uint32_t eid) const { return edgeWeight_[eid]; }
     uint64_t edgeObsMask(uint32_t eid) const { return edgeObs_[eid]; }
     uint32_t edgeU(uint32_t eid) const { return edgeEndU_[eid]; }
     /** Second endpoint, or kBoundary. */
@@ -148,10 +146,10 @@ class DecodingGraph
     // Pair-edge CSR (boundary edges filtered out at construction).
     std::vector<uint32_t> pairOffsets_;
     std::vector<PairHalfEdge> pairHalfEdges_;
-    std::vector<double> pairWeights_; //!< Parallel to pairHalfEdges_.
-    double maxPairWeight_ = 0.0;
+    std::vector<uint32_t> pairWeights_; //!< Parallel to pairHalfEdges_.
+    Weight maxEdgeWeight_ = 0;
     // SoA hot fields, parallel to edges_.
-    std::vector<float> edgeWeightF_;
+    std::vector<uint32_t> edgeWeight_;
     std::vector<uint64_t> edgeObs_;
     std::vector<uint32_t> edgeEndU_;
     std::vector<uint32_t> edgeEndV_;
@@ -159,8 +157,12 @@ class DecodingGraph
     std::vector<DetectorCoord> coords_;
 };
 
-/** Matching weight of an error probability: log((1-p)/p). */
-double probToWeight(double prob);
+/**
+ * Matching weight of an error probability: log((1-p)/p) rounded to
+ * the nearest kWeightUnit, at least one unit. Throws DemError unless
+ * 0 < p < 0.5.
+ */
+Weight probToWeight(double prob);
 
 } // namespace qec
 

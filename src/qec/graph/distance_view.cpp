@@ -34,7 +34,7 @@ DistanceView::gather(const PathTable &paths,
         // Dijkstra per defect, bit-identical to the table's cells).
         oracle_.bind(paths.graph());
         rt::assignFill(noBounds_, s,
-                       std::numeric_limits<double>::infinity());
+                       std::numeric_limits<Weight>::max());
         for (size_t a = 0; a < s; ++a) {
             oracle_.grow(dets_[a], dets_, noBounds_,
                          cells_.data() + a * s);

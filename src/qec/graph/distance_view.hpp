@@ -18,9 +18,9 @@
  * Deferred tables: when the PathTable was built with DeferPairs
  * (no O(V²) pair half — the high-distance configuration), the
  * gather computes the S×S block on the fly with the view's own
- * DistanceOracle instead of copying table rows. The oracle
- * reproduces the table's Dijkstra bit-for-bit, so consumers cannot
- * tell the two gather paths apart.
+ * DistanceOracle instead of copying table rows. The oracle's cells
+ * equal the table's bit for bit (path_table.hpp: one labelling
+ * rule), so consumers cannot tell the two gather paths apart.
  *
  * Reuse across a decode stack: the pipeline's predecoder gathers the
  * view for the full defect set; the main decoder's residual is a
@@ -80,12 +80,12 @@ class DistanceView
         return cells_[static_cast<size_t>(i) * stride_ + j];
     }
 
-    float dist(int i, int j) const { return cell(i, j).dist; }
+    uint32_t dist(int i, int j) const { return cell(i, j).dist; }
     uint64_t obs(int i, int j) const { return cell(i, j).obs; }
     int hops(int i, int j) const { return cell(i, j).hops; }
 
     const PathCell &boundaryCell(int i) const { return bcells_[i]; }
-    float distToBoundary(int i) const { return bcells_[i].dist; }
+    uint32_t distToBoundary(int i) const { return bcells_[i].dist; }
     uint64_t boundaryObs(int i) const { return bcells_[i].obs; }
     int boundaryHops(int i) const { return bcells_[i].hops; }
 
@@ -96,7 +96,7 @@ class DistanceView
     std::vector<PathCell> cells_;  //!< S×S gathered pair cells.
     std::vector<PathCell> bcells_; //!< Gathered boundary column.
     DistanceOracle oracle_;        //!< Deferred-table gather engine.
-    std::vector<double> noBounds_; //!< All-infinite oracle bounds.
+    std::vector<Weight> noBounds_; //!< Unlimited oracle bounds.
 };
 
 } // namespace qec

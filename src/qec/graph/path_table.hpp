@@ -17,39 +17,52 @@
  * one 8-byte PathCell so a decode touches one cache line per pair
  * lookup instead of striding three separate n² arrays, and the
  * DistanceView gather streams all three fields in a single pass.
- * Every distance is float: the Dijkstra accumulates in double and
- * narrows once on store. (distBoundary was historically double while
- * distMat was float; they are unified to float so the gathered
- * DistanceView has one element type — a 24-bit mantissa is orders of
- * magnitude below the precision of any physical error prior.)
+ * Distances are the integer weights of weight.hpp, stored in 32 bits
+ * (kNoPath = unreachable); fromDem guarantees every path fits.
+ *
+ * One labelling rule. Every search in the repo — this table's pair
+ * rows, boundary column and landmark columns, and DistanceOracle —
+ * relaxes with relaxPairEdges(): a node's label (dist, hops, obs)
+ * improves only to a lexicographically smaller one, and each node
+ * settles once. Because every weight is at least one unit, every
+ * predecessor that can set a node's final label has a strictly
+ * smaller distance and is settled before the node is, so the final
+ * label is the lexicographic minimum over its neighbours' final
+ * labels: it depends on the graph alone, not on the order in which
+ * nodes of equal distance are popped. This table pops a binary heap
+ * and the oracle a bucket ring; the two orders differ among equal
+ * distances, so the suites that compare their cells bit for bit
+ * would catch a rule that depended on pop order.
  *
  * Deferred mode: the pair half of the table is O(V²) cells plus V
  * per-source Dijkstras, which is what caps setup at d≈13 (≈54 MB at
  * d=17, ≈187 MB at d=21 — see bench/table8_storage.cpp). A table
  * constructed with PathTable::DeferPairs builds only O(V) columns
  * and remembers the graph: the boundary column plus kLandmarks
- * landmark distance columns (float, node-major). Pair distances are
- * then computed on demand by DistanceOracle / the sparse matcher
- * (both reproduce this file's Dijkstra bit-for-bit), and the
+ * landmark distance columns (node-major). Pair distances are then
+ * computed on demand by DistanceOracle / the sparse matcher, and the
  * pair-cell accessors assert. pairsAvailable() tells the two modes
  * apart; storageBytes() reports either mode's footprint.
  *
  * Landmarks: by the triangle inequality d(i, j) >= |dL(i) - dL(j)|
- * for any detector L, so the landmark columns give every pair a
- * lower bound without a search; the sparse matcher uses it to drop
- * targets it can prove prunable (sparse_matcher.hpp states the
- * bound under float narrowing). They are picked by deterministic
- * farthest-point selection: the first is the detector farthest from
- * detector 0, each next one the detector farthest from all chosen
- * so far (unreachable counts as farthest, ties go to the lowest
- * index), so landmarks land on the corners of the space-time volume
- * and one lands in every disconnected component the budget reaches.
+ * for any detector L, so the landmark columns give every pair an
+ * exact lower bound without a search; the sparse matcher uses it to
+ * drop targets it can prove prunable. They are picked by
+ * deterministic farthest-point selection: the first is the detector
+ * farthest from detector 0, each next one the detector farthest from
+ * all chosen so far (unreachable counts as farthest, ties go to the
+ * lowest index), so landmarks land on the corners of the space-time
+ * volume and one lands in every disconnected component the budget
+ * reaches.
  */
 
 #ifndef QEC_GRAPH_PATH_TABLE_HPP
 #define QEC_GRAPH_PATH_TABLE_HPP
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "qec/graph/decoding_graph.hpp"
@@ -58,16 +71,71 @@
 namespace qec
 {
 
-/** One interleaved entry of the all-pairs table. */
+/** One interleaved entry of the all-pairs table; a default cell is
+ *  the cell of a pair no path connects. */
 struct PathCell
 {
-    float dist = 0.0f;  //!< Shortest-path weight.
-    uint8_t obs = 0;    //!< XOR of obs masks along the path.
-    uint8_t hops = 255; //!< Edge count (255 = saturated).
+    uint32_t dist = kNoPath; //!< Shortest-path weight, or kNoPath.
+    uint8_t obs = 0;         //!< XOR of obs masks along the path.
+    uint8_t hops = 255;      //!< Edge count (255 = saturated).
 };
 
 static_assert(sizeof(PathCell) == 8,
               "PathCell must stay one half cache line per 8 pairs");
+
+/** Tentative label of one node in a shortest-path search. */
+struct PathLabel
+{
+    uint32_t dist = kNoPath;
+    uint32_t hops = 0;
+    uint8_t obs = 0;
+
+    /** The one tie-break rule: lexicographic (dist, hops, obs). */
+    bool
+    operator<(const PathLabel &other) const
+    {
+        return std::tie(dist, hops, obs) <
+               std::tie(other.dist, other.hops, other.obs);
+    }
+
+    PathCell
+    cell() const
+    {
+        return {dist, obs,
+                static_cast<uint8_t>(std::min<uint32_t>(hops, 255))};
+    }
+};
+
+/**
+ * Relax the pair edges of the settled node u (label lu): each
+ * neighbour v's label, reached through labelOf(v), takes the
+ * extension of lu when that is lexicographically smaller, and
+ * queue(v) runs when v's distance dropped (an equal-distance
+ * improvement keeps v's queue entry). Boundary edges are never
+ * intermediate hops. The shared rule of every search (file comment).
+ */
+template <class LabelOf, class Queue>
+inline void
+relaxPairEdges(const DecodingGraph &graph, uint32_t u,
+               const PathLabel &lu, LabelOf &&labelOf, Queue &&queue)
+{
+    const std::span<const PairHalfEdge> half = graph.pairNeighbors(u);
+    const std::span<const uint32_t> weight = graph.pairWeights(u);
+    for (size_t e = 0; e < half.size(); ++e) {
+        const PathLabel next{
+            lu.dist + weight[e], lu.hops + 1,
+            static_cast<uint8_t>(
+                lu.obs ^ graph.edgeObsMask(half[e].edgeId))};
+        PathLabel &lv = labelOf(half[e].neighbor);
+        if (next < lv) {
+            const bool closer = next.dist < lv.dist;
+            lv = next;
+            if (closer) {
+                queue(half[e].neighbor);
+            }
+        }
+    }
+}
 
 /** Precomputed distance / observable-parity / hop tables. */
 class PathTable
@@ -78,6 +146,9 @@ class PathTable
     {
     };
 
+    /** Dense table: every pair cell plus the boundary column.
+     *  Throws DemError when the graph has more than 8 observables
+     *  (a PathCell packs obs into 8 bits); so does DeferPairs. */
     explicit PathTable(const DecodingGraph &graph);
 
     /** Deferred table: boundary and landmark columns only, O(V)
@@ -93,8 +164,9 @@ class PathTable
     /** The decoding graph this table was built over. */
     const DecodingGraph &graph() const { return *graph_; }
 
-    /** Shortest-path weight between two detectors. */
-    float dist(uint32_t a, uint32_t b) const
+    /** Shortest-path weight between two detectors (kNoPath when
+     *  unreachable without the boundary). */
+    uint32_t dist(uint32_t a, uint32_t b) const
     {
         return cells[index(a, b)].dist;
     }
@@ -124,7 +196,7 @@ class PathTable
     }
 
     /** Shortest-path weight from a detector to the boundary. */
-    float distToBoundary(uint32_t a) const
+    uint32_t distToBoundary(uint32_t a) const
     {
         return boundary[a].dist;
     }
@@ -141,9 +213,6 @@ class PathTable
         return boundary[a];
     }
 
-    /** True if b is unreachable from a without the boundary. */
-    bool unreachable(uint32_t a, uint32_t b) const;
-
     uint32_t numDetectors() const { return n; }
 
     /** Landmark columns a DeferPairs table builds (fewer when the
@@ -153,8 +222,8 @@ class PathTable
     int numLandmarks() const { return numLandmarks_; }
 
     /** The numLandmarks() landmark distances of detector a
-     *  (infinite where a landmark is unreachable). */
-    const float *landmarkRow(uint32_t a) const
+     *  (kNoPath where a landmark is unreachable). */
+    const uint32_t *landmarkRow(uint32_t a) const
     {
         return landmarks_.data() +
                static_cast<size_t>(a) * numLandmarks_;
@@ -172,16 +241,15 @@ class PathTable
         return static_cast<size_t>(a) * n + b;
     }
 
-    void buildBoundary(const DecodingGraph &graph);
-    void buildPairs(const DecodingGraph &graph);
-    void buildLandmarks(const DecodingGraph &graph);
+    void buildBoundary();
+    void buildLandmarks();
 
     const DecodingGraph *graph_ = nullptr;
     uint32_t n = 0;
     int numLandmarks_ = 0;
     std::vector<PathCell> cells;    //!< n x n interleaved pairs.
     std::vector<PathCell> boundary; //!< Per-detector boundary column.
-    std::vector<float> landmarks_;  //!< n x numLandmarks_ distances.
+    std::vector<uint32_t> landmarks_; //!< n x numLandmarks_ dists.
 };
 
 } // namespace qec

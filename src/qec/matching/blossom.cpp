@@ -1,7 +1,6 @@
 #include "qec/matching/blossom.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "qec/util/assert.hpp"
@@ -424,10 +423,12 @@ BlossomSolver::solve(const MatchingProblem &problem,
         return;
     }
 
-    // Quantize weights to integers. The scale keeps the largest
-    // doubled-graph weight comfortably inside long long after the
-    // BIG offset is applied to force perfection.
-    double w_max = 0.0;
+    // Doubled-graph weights are big - w: maximizing them minimizes
+    // the integer weight among perfect matchings, and big > n * w_max
+    // makes every perfect matching (n edges, each worth at least
+    // big - w_max) outweigh every matching with n - 1 edges, so the
+    // maximum-weight matching is perfect whenever one exists.
+    Weight w_max = 0;
     for (int i = 0; i < n; ++i) {
         if (problem.boundaryWeight[i] != kNoEdge) {
             w_max = std::max(w_max, problem.boundaryWeight[i]);
@@ -438,11 +439,7 @@ BlossomSolver::solve(const MatchingProblem &problem,
             }
         }
     }
-    const double scale = (w_max > 0.0) ? (1e6 / w_max) : 1.0;
-    auto quantize = [&](double w) -> long long {
-        return static_cast<long long>(std::llround(w * scale));
-    };
-    const long long big = 4'000'000;
+    const long long big = n * w_max + 1;
 
     if (n == 1) {
         // Single defect: twin edge is the only option.
@@ -450,7 +447,7 @@ BlossomSolver::solve(const MatchingProblem &problem,
             return;
         }
         rt::pushBack(out.mate, -1);
-        out.totalWeight = problem.boundaryWeight[0];
+        out.totalWeight = toNats(problem.boundaryWeight[0]);
         out.valid = true;
         return;
     }
@@ -461,12 +458,12 @@ BlossomSolver::solve(const MatchingProblem &problem,
     for (int i = 0; i < n; ++i) {
         if (problem.boundaryWeight[i] != kNoEdge) {
             setEdge(i + 1, n + i + 1,
-                    big - quantize(problem.boundaryWeight[i]));
+                    big - problem.boundaryWeight[i]);
         }
         for (int j = i + 1; j < n; ++j) {
             if (problem.pair(i, j) != kNoEdge) {
                 setEdge(i + 1, j + 1,
-                        big - quantize(problem.pair(i, j)));
+                        big - problem.pair(i, j));
             }
             // Twins pair up for free.
             setEdge(n + i + 1, n + j + 1, big);
@@ -492,7 +489,7 @@ BlossomSolver::solve(const MatchingProblem &problem,
         }
     }
     out.valid = true;
-    out.totalWeight = matchingWeight(problem, out);
+    out.totalWeight = toNats(matchingWeight(problem, out));
 }
 
 std::vector<int>

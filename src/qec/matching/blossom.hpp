@@ -18,9 +18,12 @@
  * the DecodeWorkspace hot path builds on. One solver instance must
  * not be shared between threads.
  *
- * Weights are quantized to integers internally; correctness against
- * an exhaustive oracle is enforced by the test suite over thousands
- * of random instances.
+ * Weights are the problem's integers (weight.hpp), used as they are:
+ * no per-problem rescale, so the optimum is exact and its total
+ * equals any other exact solver's. Correctness against an exhaustive
+ * oracle is enforced by the test suite over thousands of random
+ * instances. Besides being the test reference on a full DefectGraph,
+ * it solves the sparse matcher's components too large for its DP.
  */
 
 #ifndef QEC_MATCHING_BLOSSOM_HPP

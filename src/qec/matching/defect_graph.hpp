@@ -14,8 +14,7 @@
  * predecoder already gathered — see distance_view.hpp) and the
  * problem matrix plus the solution read-back then touch only that
  * dense block. `viewMap` records each local defect's index into the
- * view. The PathTable-reading builders stay for convenience and are
- * bit-identical (the view holds bit-copies).
+ * view.
  */
 
 #ifndef QEC_MATCHING_DEFECT_GRAPH_HPP
@@ -41,45 +40,25 @@ struct DefectGraph
     MatchingProblem problem;
     /** Local defect index -> index into the DistanceView this graph
      *  was built from (identity when the view was gathered for
-     *  exactly this defect set). Empty for PathTable-built graphs. */
+     *  exactly this defect set). */
     std::vector<int32_t> viewMap;
 
     /** XOR of observable masks along all matched paths. */
-    uint64_t solutionObs(const PathTable &paths,
-                         const MatchingSolution &solution) const;
-
-    /** solutionObs through the gathered view (uses viewMap). */
     uint64_t solutionObs(const DistanceView &view,
                          const MatchingSolution &solution) const;
 
-    /** Error-chain length (hops) of each matched pair/boundary. */
-    std::vector<int> chainLengths(const PathTable &paths,
-                                  const MatchingSolution &sol) const;
-
-    /** chainLengths into a caller-owned buffer (capacity reused). */
-    void chainLengthsInto(const PathTable &paths,
-                          const MatchingSolution &sol,
-                          std::vector<int> &out) const;
-
-    /** chainLengthsInto through the gathered view (uses viewMap). */
+    /** Error-chain length (hops) of each matched pair/boundary,
+     *  into a caller-owned buffer (capacity reused). */
     void chainLengthsInto(const DistanceView &view,
                           const MatchingSolution &sol,
                           std::vector<int> &out) const;
 };
 
-/** Build the complete defect graph of a syndrome. */
-DefectGraph buildDefectGraph(std::span<const uint32_t> defects,
-                             const PathTable &paths);
-
-/** Rebuild `out` in place from a syndrome, reusing its buffers. */
-void buildDefectGraphInto(std::span<const uint32_t> defects,
-                          const PathTable &paths, DefectGraph &out);
-
 /**
  * Rebuild `out` in place through `view`: resolves `defects` against
  * the view's gathered block (gathering from `paths` only when the
  * block does not already contain them) and fills the problem matrix
- * from the dense cells. Bit-identical with the PathTable builder.
+ * from the dense cells.
  */
 void buildDefectGraphInto(std::span<const uint32_t> defects,
                           const PathTable &paths,

@@ -1,7 +1,5 @@
 #include "qec/matching/exhaustive.hpp"
 
-#include <cmath>
-
 #include "qec/util/assert.hpp"
 #include "qec/util/realtime.hpp"
 #include "qec/util/rt_grow.hpp"
@@ -9,19 +7,18 @@
 namespace qec
 {
 
-double
+Weight
 matchingWeight(const MatchingProblem &problem,
                MatchingSolution &solution)
 {
-    double total = 0.0;
+    Weight total = 0;
     for (int i = 0; i < problem.n; ++i) {
         const int m = solution.mate[i];
-        const double w = (m == -1)  ? problem.boundaryWeight[i]
+        const Weight w = (m == -1)  ? problem.boundaryWeight[i]
                          : (m > i)  ? problem.pair(i, m)
-                                    : 0.0;
+                                    : 0;
         if (w == kNoEdge) {
-            // Disallowed pairing: not a valid solution, and summing
-            // infinity would silently poison the total.
+            // Disallowed pairing: not a valid solution.
             solution.valid = false;
             return kNoEdge;
         }
@@ -32,7 +29,7 @@ matchingWeight(const MatchingProblem &problem,
 
 void
 ExhaustiveSolver::recurse(const MatchingProblem &problem,
-                          double weight)
+                          Weight weight)
 {
     if (weight >= best_) {
         // Even a complete extension cannot improve (weights >= 0).
@@ -54,7 +51,7 @@ ExhaustiveSolver::recurse(const MatchingProblem &problem,
     }
 
     // Option 1: boundary.
-    const double bw = problem.boundaryWeight[first];
+    const Weight bw = problem.boundaryWeight[first];
     if (bw != kNoEdge) {
         mate_[first] = -1;
         recurse(problem, weight + bw);
@@ -65,7 +62,7 @@ ExhaustiveSolver::recurse(const MatchingProblem &problem,
         if (mate_[j] != -2) {
             continue;
         }
-        const double pw = problem.pair(first, j);
+        const Weight pw = problem.pair(first, j);
         if (pw == kNoEdge) {
             continue;
         }
@@ -82,28 +79,24 @@ ExhaustiveSolver::seedGreedyBound(const MatchingProblem &problem)
 {
     // Seed best_ with the weight of one greedily built matching so
     // the branch-and-bound prunes above it from the first descent.
-    // The greedy walk mirrors the DFS exactly — lowest unmatched
-    // defect first, weight accumulated per commit in the same
-    // floating-point order — so the bound equals the DFS's own
-    // weight for this matching, and seeding nextafter(bound) keeps
-    // every matching with weight <= bound reachable. The DFS winner
-    // (first matching attaining the optimum in DFS order) has all
-    // prefix weights <= the optimum <= bound, so it is never pruned:
-    // the solution is bit-identical with the unseeded search, only
-    // the explored count shrinks.
+    // Seeding bound + 1 keeps every matching with weight <= bound
+    // reachable. The DFS winner (first matching attaining the
+    // optimum in DFS order) has all prefix weights <= the optimum
+    // <= bound, so it is never pruned: the solution is identical
+    // with the unseeded search, only the explored count shrinks.
     const int n = problem.n;
-    double bound = 0.0;
+    Weight bound = 0;
     for (int first = 0; first < n; ++first) {
         if (mate_[first] != -2) {
             continue;
         }
-        double best_w = problem.boundaryWeight[first];
+        Weight best_w = problem.boundaryWeight[first];
         int best_j = -1;
         for (int j = first + 1; j < n; ++j) {
             if (mate_[j] != -2) {
                 continue;
             }
-            const double pw = problem.pair(first, j);
+            const Weight pw = problem.pair(first, j);
             if (pw < best_w) {
                 best_w = pw;
                 best_j = j;
@@ -124,7 +117,7 @@ ExhaustiveSolver::seedGreedyBound(const MatchingProblem &problem)
         bound += best_w;
     }
     rt::assignFill(mate_, n, -2);
-    best_ = std::nextafter(bound, kNoEdge);
+    best_ = bound + 1;
 }
 
 // Outlined so the QEC_REALTIME anchor stays inside this body: if
@@ -140,7 +133,7 @@ ExhaustiveSolver::solve(const MatchingProblem &problem,
     best_ = kNoEdge;
     explored_ = 0;
     seedGreedyBound(problem);
-    recurse(problem, 0.0);
+    recurse(problem, 0);
     if (explored) {
         *explored = explored_;
     }
@@ -152,7 +145,7 @@ ExhaustiveSolver::solve(const MatchingProblem &problem,
     }
     rt::assignRange(out.mate, bestMate_.begin(),
                     bestMate_.end());
-    out.totalWeight = best_;
+    out.totalWeight = toNats(best_);
     out.valid = true;
 }
 

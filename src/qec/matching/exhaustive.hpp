@@ -41,11 +41,11 @@ class ExhaustiveSolver
                uint64_t *explored = nullptr);
 
   private:
-    void recurse(const MatchingProblem &problem, double weight);
+    void recurse(const MatchingProblem &problem, Weight weight);
     void seedGreedyBound(const MatchingProblem &problem);
 
     std::vector<int> mate_, bestMate_;
-    double best_ = kNoEdge;
+    Weight best_ = kNoEdge;
     uint64_t explored_ = 0;
 };
 

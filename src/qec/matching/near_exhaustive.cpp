@@ -7,27 +7,34 @@
 namespace qec
 {
 
-double
+Weight
 NearExhaustiveSolver::remainingBound() const
 {
-    double bound = 0.0;
+    // Each unmatched defect pays at least half its cheapest option
+    // (a pair is shared by two); rounded up, which stays admissible
+    // against the integer weight it is added to. kNoEdge when some
+    // unmatched defect has no option at all.
+    Weight twice = 0;
     for (int i = 0; i < problem_->n; ++i) {
         if (mate_[i] == -2) {
-            bound += minOption_[i] * 0.5;
+            if (minOption_[i] == kNoEdge) {
+                return kNoEdge;
+            }
+            twice += minOption_[i];
         }
     }
-    return bound;
+    return (twice + 1) / 2;
 }
 
 void
-NearExhaustiveSolver::greedyComplete(double weight)
+NearExhaustiveSolver::greedyComplete(Weight weight)
 {
     rt::assignRange(savedMate_, mate_.begin(), mate_.end());
     for (int i = 0; i < problem_->n; ++i) {
         if (mate_[i] != -2) {
             continue;
         }
-        double best_w = kNoEdge;
+        Weight best_w = kNoEdge;
         int best_j = -3;
         for (int o = optOffset_[i]; o < optOffset_[i + 1]; ++o) {
             const auto &[w, j] = options_[o];
@@ -57,7 +64,7 @@ NearExhaustiveSolver::greedyComplete(double weight)
 }
 
 void
-NearExhaustiveSolver::recurse(double weight)
+NearExhaustiveSolver::recurse(Weight weight)
 {
     if (hitBudget_) {
         return;
@@ -66,7 +73,8 @@ NearExhaustiveSolver::recurse(double weight)
         hitBudget_ = true;
         return;
     }
-    if (weight + (useBound_ ? remainingBound() : 0.0) >= best_) {
+    const Weight bound = useBound_ ? remainingBound() : 0;
+    if (bound == kNoEdge || weight + bound >= best_) {
         return;
     }
     int first = 0;
@@ -152,7 +160,7 @@ NearExhaustiveSolver::solve(const MatchingProblem &problem,
     }
     optOffset_[n] = static_cast<int>(options_.size());
 
-    recurse(0.0);
+    recurse(0);
     if (best_ == kNoEdge) {
         // Not even a greedy completion existed.
         out.mate.clear();
@@ -162,7 +170,7 @@ NearExhaustiveSolver::solve(const MatchingProblem &problem,
     }
     rt::assignRange(out.mate, bestMate_.begin(),
                     bestMate_.end());
-    out.totalWeight = best_;
+    out.totalWeight = toNats(best_);
     out.valid = true;
 }
 

@@ -48,9 +48,9 @@ class NearExhaustiveSolver
     bool truncated() const { return hitBudget_; }
 
   private:
-    double remainingBound() const;
-    void greedyComplete(double weight);
-    void recurse(double weight);
+    Weight remainingBound() const;
+    void greedyComplete(Weight weight);
+    void recurse(Weight weight);
 
     const MatchingProblem *problem_ = nullptr;
     long long budget_ = 0;
@@ -63,9 +63,9 @@ class NearExhaustiveSolver
      * partner -1 is the boundary.
      */
     std::vector<int> optOffset_;
-    std::vector<std::pair<double, int>> options_;
-    std::vector<double> minOption_;
-    double best_ = kNoEdge;
+    std::vector<std::pair<Weight, int>> options_;
+    std::vector<Weight> minOption_;
+    Weight best_ = kNoEdge;
     long long states_ = 0;
     bool hitBudget_ = false;
 };

@@ -1,8 +1,7 @@
 #include "qec/matching/sparse_matcher.hpp"
 
 #include <bit>
-#include <cmath>
-#include <limits>
+#include <cstdlib>
 
 #include "qec/util/assert.hpp"
 #include "qec/util/realtime.hpp"
@@ -14,40 +13,33 @@ namespace qec
 namespace
 {
 
-/** Keep a pair iff it is strictly cheaper than matching both ends
- *  to the boundary (see the header's exactness argument; exact ties
- *  are dropped because the two boundary matches cost the same and
- *  are always available when the tie is finite). All compares in
- *  double over the float cells, matching the dense builders. */
-bool
-keepCandidate(const PathCell &cell, const PathCell &bi,
-              const PathCell &bj)
+/** db(i) + db(j): the cost of matching both ends to the boundary
+ *  (at least kNoPath when either boundary is unreachable). */
+Weight
+boundaryPairCost(const PathCell &bi, const PathCell &bj)
 {
-    return std::isfinite(cell.dist) &&
-           static_cast<double>(cell.dist) <
-               static_cast<double>(bi.dist) +
-                   static_cast<double>(bj.dist);
+    return Weight{bi.dist} + Weight{bj.dist};
 }
 
-/**
- * True when some landmark column proves d(i, j) >= `sum` (=
- * db(i) + db(j), as keepCandidate computes it) for the float cell
- * the dense table would hold, so the pair fails keepCandidate
- * without a search. The slack term absorbs every rounding step
- * (header: landmark bound under float narrowing). An infinite
- * column entry on exactly one side means different components
- * (infinite distance, never kept) and proves it; infinite on both
- * sides gives NaN and proves nothing.
- */
+/** Keep a pair iff it is strictly cheaper than matching both ends
+ *  to the boundary (see the header's exactness argument; exact ties
+ *  are dropped because the two boundary matches cost the same). */
 bool
-landmarksProvePrunable(const float *li, const float *lj, int lms,
-                       double sum)
+keepCandidate(const PathCell &cell, Weight boundary_cost)
 {
-    constexpr double kSlack = 0x1p-20;
+    return cell.dist != kNoPath && cell.dist < boundary_cost;
+}
+
+/** True when some landmark column proves d(i, j) >= boundary_cost
+ *  (header: landmarks), so the pair fails keepCandidate without a
+ *  search. */
+bool
+landmarksProvePrunable(const uint32_t *li, const uint32_t *lj,
+                       int lms, Weight boundary_cost)
+{
     for (int l = 0; l < lms; ++l) {
-        const double a = li[l];
-        const double b = lj[l];
-        if (std::fabs(a - b) >= sum + kSlack * (a + b)) {
+        const Weight gap = Weight{li[l]} - Weight{lj[l]};
+        if (std::abs(gap) >= boundary_cost) {
             return true;
         }
     }
@@ -79,7 +71,8 @@ SparseMatchingProblem::build(const PathTable &paths,
             const PathCell *row = paths.row(defects_[i]);
             for (int j = i + 1; j < n_; ++j) {
                 const PathCell &cell = row[defects_[j]];
-                if (keepCandidate(cell, bcells_[i], bcells_[j])) {
+                if (keepCandidate(cell, boundaryPairCost(
+                                            bcells_[i], bcells_[j]))) {
                     rt::pushBack(cands_, {j, cell});
                 }
             }
@@ -104,20 +97,18 @@ SparseMatchingProblem::build(const PathTable &paths,
     for (int i = 0; i < n_; ++i) {
         rt::pushBack(offsets_,
                      static_cast<int32_t>(cands_.size()));
-        const float *li = paths.landmarkRow(defects_[i]);
+        const uint32_t *li = paths.landmarkRow(defects_[i]);
         targetDets_.clear();
         targetBounds_.clear();
         targetLocal_.clear();
         for (int j = i + 1; j < n_; ++j) {
-            const double sum =
-                static_cast<double>(bcells_[i].dist) +
-                static_cast<double>(bcells_[j].dist);
+            const Weight cost = boundaryPairCost(bcells_[i], bcells_[j]);
             if (landmarksProvePrunable(
-                    li, paths.landmarkRow(defects_[j]), lms, sum)) {
+                    li, paths.landmarkRow(defects_[j]), lms, cost)) {
                 continue;
             }
             rt::pushBack(targetDets_, defects_[j]);
-            rt::pushBack(targetBounds_, sum);
+            rt::pushBack(targetBounds_, cost);
             rt::pushBack(targetLocal_, static_cast<int32_t>(j));
         }
         if (targetDets_.empty()) {
@@ -128,7 +119,7 @@ SparseMatchingProblem::build(const PathTable &paths,
         for (size_t k = 0; k < targetDets_.size(); ++k) {
             const int j = targetLocal_[k];
             const PathCell &cell = rowScratch_[k];
-            if (keepCandidate(cell, bcells_[i], bcells_[j])) {
+            if (keepCandidate(cell, targetBounds_[k])) {
                 rt::pushBack(cands_, {j, cell});
             }
         }
@@ -262,7 +253,7 @@ SparseMatcher::solve(const SparseMatchingProblem &problem,
             // Isolated defect: every pair was pruned (or none is
             // finite), so the boundary is the only legal mate.
             const int i = mem[0];
-            if (!std::isfinite(problem.boundaryCell(i).dist)) {
+            if (problem.boundaryCell(i).dist == kNoPath) {
                 out.valid = false;
                 return;
             }
@@ -270,22 +261,11 @@ SparseMatcher::solve(const SparseMatchingProblem &problem,
             continue;
         }
         if (m == 2) {
-            // One candidate edge by construction: pair up unless
-            // two boundary matches are strictly cheaper.
-            const int i = mem[0];
-            const int j = mem[1];
-            const double wp = problem.pairCell(i, j).dist;
-            const double wb =
-                static_cast<double>(
-                    problem.boundaryCell(i).dist) +
-                static_cast<double>(problem.boundaryCell(j).dist);
-            if (wp <= wb) {
-                out.mate[i] = j;
-                out.mate[j] = i;
-            } else {
-                out.mate[i] = -1;
-                out.mate[j] = -1;
-            }
+            // One candidate edge by construction, and keepCandidate
+            // kept it only because it is strictly cheaper than two
+            // boundary matches.
+            out.mate[mem[0]] = mem[1];
+            out.mate[mem[1]] = mem[0];
             continue;
         }
         // General component: its dense subproblem over members only.
@@ -296,44 +276,51 @@ SparseMatcher::solve(const SparseMatchingProblem &problem,
                        static_cast<size_t>(m), kNoEdge);
         for (int a = 0; a < m; ++a) {
             const int i = mem[a];
-            const double db = problem.boundaryCell(i).dist;
-            if (std::isfinite(db)) {
+            const uint32_t db = problem.boundaryCell(i).dist;
+            if (db != kNoPath) {
                 sub_.boundaryWeight[a] = db;
             }
             for (const SparseCandidate &cand :
                  problem.candidates(i)) {
-                sub_.setPair(a, localPos_[cand.j],
-                             static_cast<double>(cand.cell.dist));
+                sub_.setPair(a, localPos_[cand.j], cand.cell.dist);
             }
         }
         if (m <= kDpMaxSize) {
-            // Subset DP, exact and unquantized: dp[mask] is the
-            // cheapest way to resolve the defect subset `mask`,
-            // matching the mask's lowest bit either to the boundary
-            // or to another member. Infinities (pruned pairs,
-            // unreachable boundary) propagate naturally; an
-            // infinite dp[full] means the component is infeasible.
+            // Subset DP: dp[mask] is the cheapest way to resolve
+            // the defect subset `mask`, matching the mask's lowest
+            // bit either to the boundary or to another member.
+            // kNoEdge (a pruned pair, an unreachable boundary, an
+            // unresolvable subset) is never added; kNoEdge at
+            // dp[full] means the component is infeasible.
             const uint32_t full = (1u << m) - 1;
             rt::resizeTo(dpCost_,
                          static_cast<size_t>(full) + 1);
             rt::resizeTo(dpChoice_,
                          static_cast<size_t>(full) + 1);
-            double *const dp = dpCost_.data();
+            Weight *const dp = dpCost_.data();
             int8_t *const choice_of = dpChoice_.data();
-            dp[0] = 0.0;
+            dp[0] = 0;
             for (uint32_t mask = 1; mask <= full; ++mask) {
                 const int i = std::countr_zero(mask);
                 const uint32_t rest = mask & (mask - 1);
-                const double *const prow =
+                const Weight *const prow =
                     sub_.pairWeight.data() +
                     static_cast<size_t>(i) * m;
-                double best = sub_.boundaryWeight[i] + dp[rest];
+                Weight best = kNoEdge;
                 int8_t choice = -1;
+                if (sub_.boundaryWeight[i] != kNoEdge &&
+                    dp[rest] != kNoEdge) {
+                    best = sub_.boundaryWeight[i] + dp[rest];
+                }
                 for (uint32_t bits = rest; bits != 0;) {
                     const uint32_t low = bits & (0u - bits);
                     bits ^= low;
                     const int j = std::countr_zero(low);
-                    const double w = prow[j] + dp[rest ^ low];
+                    if (prow[j] == kNoEdge ||
+                        dp[rest ^ low] == kNoEdge) {
+                        continue;
+                    }
+                    const Weight w = prow[j] + dp[rest ^ low];
                     if (w < best) {
                         best = w;
                         choice = static_cast<int8_t>(j);
@@ -342,7 +329,7 @@ SparseMatcher::solve(const SparseMatchingProblem &problem,
                 dp[mask] = best;
                 choice_of[mask] = choice;
             }
-            if (!std::isfinite(dp[full])) {
+            if (dp[full] == kNoEdge) {
                 out.valid = false;
                 return;
             }
@@ -372,9 +359,7 @@ SparseMatcher::solve(const SparseMatchingProblem &problem,
         }
     }
 
-    // Total in ascending local order, mirroring matchingWeight's
-    // accumulation order over the dense problem.
-    double total = 0.0;
+    Weight total = 0;
     for (int i = 0; i < n; ++i) {
         const int m = out.mate[i];
         if (m == -1) {
@@ -383,7 +368,7 @@ SparseMatcher::solve(const SparseMatchingProblem &problem,
             total += problem.pairCell(i, m).dist;
         }
     }
-    out.totalWeight = total;
+    out.totalWeight = toNats(total);
 }
 
 } // namespace qec

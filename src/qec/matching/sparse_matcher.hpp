@@ -1,74 +1,45 @@
 /**
  * @file
  * Sparse local-growth matching: exact MWPM without the dense S×S
- * problem matrix or the O(V²) PathTable.
+ * problem matrix or the O(V²) PathTable. It is the repo's one exact
+ * matcher: registered as both `mwpm` and `sparse`, it runs over a
+ * dense table or a DeferPairs one.
  *
- * The dense pipeline builds a complete graph over the S defects
- * (MatchingProblem) from precomputed all-pairs distances. This file
- * is the sparse alternative that unlocks high distances (d = 17, 21
- * and beyond): a SparseMatchingProblem grows a truncated Dijkstra
- * region around each defect directly over the CSR DecodingGraph
- * adjacency (via DistanceOracle) and keeps only the *candidate*
- * pairs that can appear in some optimal matching; SparseMatcher
- * then decomposes the candidate graph into connected components and
- * solves each exactly — closed forms for 1-2 defects, an unquantized
- * subset DP up to kDpMaxSize, the blossom core beyond.
+ * A SparseMatchingProblem keeps, per defect, only the *candidate*
+ * pairs that can appear in some optimal matching; SparseMatcher then
+ * decomposes the candidate graph into connected components and
+ * solves each exactly — closed forms for 1-2 defects, a subset DP up
+ * to kDpMaxSize, the blossom core beyond.
  *
  * Exactness: a pair (i, j) with d(i, j) >= db(i) + db(j) — the sum
  * of the two boundary distances — is never needed: replacing the
  * pair with two boundary matches never increases the total weight,
- * and the boundary matches are available whenever the bound is
- * finite (an infinite bound keeps every finite pair). So the pruned
- * problem has the same optimal total weight as the dense problem
- * (the chosen mates may differ between equal-weight optima, as with
- * any exact solver). The rule is applied to the float cell c(i, j)
- * against S = double(db(i)) + double(db(j)): keep iff c < S.
+ * and the boundary matches are available whenever the sum is finite
+ * (an unreachable boundary makes the sum at least kNoPath, which
+ * keeps every finite pair). So the pruned problem has the same
+ * optimal total weight as the dense problem; the chosen mates may
+ * differ between equal-weight optima, as with any exact solver. All
+ * weights are integers (weight.hpp), so every test below is exact.
  *
  * On a deferred table the build finds the kept pairs without
- * settling every target, by two further cuts that each drop only
- * pairs with c >= S. Write D for a Dijkstra label (a double sum
- * along some path), δ for the exact real distance, and e = 2^-23.
+ * settling every target, by two cuts that each drop only pairs the
+ * rule above drops:
  *
- * 1. Landmark bound under float narrowing. A landmark column holds
- *    a = float(D_L(i)), b = float(D_L(j)). Every label is a
- *    left-to-right double sum of positive weights over at most V
- *    edges, so D is within a factor (1 ± V·2^-53) of δ, and the
- *    float store adds one more factor (1 ± 2^-24); for V < 2^28
- *    both together stay within (1 ± e). So δ_L(i) >= a(1 - e) and
- *    δ_L(j) <= b(1 + 2e) (and symmetrically). The triangle
- *    inequality δ(i, j) >= |δ_L(i) - δ_L(j)| then gives
- *    δ(i, j) >= |a - b| - 2e(a + b), and the stored cell obeys
- *    c >= (1 - e)·δ(i, j) >= |a - b| - 3e(a + b). The build drops j
- *    when |a - b| >= S + 2^-20·(a + b) for some landmark, evaluated
- *    in double: 2^-20 is more than 3e plus the evaluation's own
- *    rounding, so c >= S holds. If exactly one of a, b is infinite,
- *    i and j lie in different components, c is infinite, and the
- *    test (inf >= inf) drops it rightly; both infinite gives NaN
- *    and drops nothing. The boundary column gives no extra cut:
- *    |db(i) - db(j)| >= db(i) + db(j) needs a zero boundary
- *    distance, so it is not tested.
+ * 1. Landmarks. By the triangle inequality d(i, j) >= |a - b| for
+ *    the landmark distances a, b of i and j, so |a - b| >= db(i) +
+ *    db(j) proves the pair prunable. When exactly one of a, b is
+ *    kNoPath, i and j lie in different components and the pair is
+ *    unreachable, so any prune is right; when both are, |a - b| = 0
+ *    proves nothing (boundary distances are at least one unit).
  * 2. Per-target stop. The surviving targets go to one
- *    DistanceOracle::grow with bound S each. The oracle stops only
- *    when the popped distance, narrowed to float, exceeds the
- *    largest bound among unsettled targets; each such target's
- *    float cell is then > its S and is dropped (distance_oracle.hpp
- *    gives the argument), while every target with c <= S settles
- *    and is tested exactly as the dense backend tests it.
- * 3. The oracle pops the same (distance, node) sequence as the
- *    dense table's heap (the bucket-order argument in
- *    distance_oracle.hpp), so every settled cell is bit-identical
- *    to the table's.
+ *    DistanceOracle::grow with bound db(i) + db(j) each; the oracle
+ *    stops only once every unsettled target lies beyond its bound,
+ *    while every target within its bound settles and is tested as
+ *    the dense backend tests it.
  *
- * When boundary distances are infinite no pruning applies and the
- * growth runs to exhaustion — the matcher degrades to exact dense
- * behavior.
- *
- * Two interchangeable distance backends feed the same build: with a
- * dense PathTable the problem reads table rows on demand (no S×S
- * gather is materialized); with a DeferPairs table it runs the
- * truncated Dijkstras. The oracle's cells are bit-identical to the
- * table's, so both backends produce the identical candidate set and
- * the identical solution.
+ * The oracle's cells equal the table's (path_table.hpp: one
+ * labelling rule), so the two backends produce the identical
+ * candidate set and the identical solution.
  *
  * Memory contract: like the dense solvers, every buffer here grows
  * monotonically and is reused, so a warm problem + matcher pair
@@ -147,7 +118,7 @@ class SparseMatchingProblem
     std::vector<int32_t> offsets_;    //!< n+1 CSR offsets.
     std::vector<SparseCandidate> cands_;
     std::vector<uint32_t> targetDets_; //!< Oracle targets of one i.
-    std::vector<double> targetBounds_; //!< Their keep bounds.
+    std::vector<Weight> targetBounds_; //!< Their keep bounds.
     std::vector<int32_t> targetLocal_; //!< Their local indices.
     std::vector<PathCell> rowScratch_;
     DistanceOracle oracle_;           //!< Lazy distance backend.
@@ -169,7 +140,7 @@ class SparseMatcher
 
     /** Largest component solved by the subset DP (2^m states); the
      *  blossom core takes over above this. At 12 the DP table is
-     *  4096 doubles and the DP is still well under the doubled-graph
+     *  4096 entries and the DP is still well under the doubled-graph
      *  blossom's cost at the same size. */
     static constexpr int kDpMaxSize = 12;
 
@@ -185,7 +156,7 @@ class SparseMatcher
     MatchingProblem sub_;           //!< Per-component dense problem.
     MatchingSolution subSol_;
     BlossomSolver blossom_;
-    std::vector<double> dpCost_;    //!< Subset DP: cost per mask.
+    std::vector<Weight> dpCost_;    //!< Subset DP: cost per mask.
     std::vector<int8_t> dpChoice_;  //!< Mate of the mask's low bit.
 };
 

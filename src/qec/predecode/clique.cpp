@@ -37,7 +37,7 @@ CliquePredecoder::predecode(std::span<const uint32_t> defects,
     // Simple patterns: isolated pairs, or lone defects one hop from
     // the boundary. All-or-nothing (NSM).
     uint64_t obs = 0;
-    double weight = 0.0;
+    Weight weight = 0;
     uint8_t *covered = arena.allocate<uint8_t>(n);
     std::fill_n(covered, n, uint8_t{0});
     for (int i = 0; i < n; ++i) {
@@ -72,7 +72,7 @@ CliquePredecoder::predecode(std::span<const uint32_t> defects,
     if (all_covered) {
         result.decodedAll = true;
         result.obsMask = obs;
-        result.weight = weight;
+        result.weight = toNats(weight);
     } else {
         result.forwarded = true;
         rt::assignRange(result.residual, defects.begin(),
@@ -156,7 +156,7 @@ CliquePredecoder::predecodeBlock(
             covered[j] |= pair;
             const uint32_t eid = sg.edgeIdAt(i, o);
             const uint64_t obs = graph_.edgeObsMask(eid);
-            const double weight = graph_.edgeWeight(eid);
+            const double weight = toNats(graph_.edgeWeight(eid));
             forEachSetBit(pair, [&](int lane) {
                 result.obsMask[lane] ^= obs;
                 result.weight[lane] += weight;
@@ -167,7 +167,8 @@ CliquePredecoder::predecodeBlock(
             if (beid >= 0) {
                 const uint32_t eid = static_cast<uint32_t>(beid);
                 const uint64_t obs = graph_.edgeObsMask(eid);
-                const double weight = graph_.edgeWeight(eid);
+                const double weight =
+                    toNats(graph_.edgeWeight(eid));
                 covered[i] |= deg0[i];
                 forEachSetBit(deg0[i], [&](int lane) {
                     result.obsMask[lane] ^= obs;

@@ -36,7 +36,7 @@ HierarchicalPredecoder::predecode(std::span<const uint32_t> defects,
     // unique neighbor and the pair is either time-like (same
     // stabilizer, adjacent layers) or space-like within one layer.
     uint64_t obs = 0;
-    double weight = 0.0;
+    Weight weight = 0;
     uint8_t *covered = arena.allocate<uint8_t>(n);
     std::fill_n(covered, n, uint8_t{0});
     for (int i = 0; i < n; ++i) {
@@ -70,7 +70,7 @@ HierarchicalPredecoder::predecode(std::span<const uint32_t> defects,
                     [](uint8_t c) { return c != 0; })) {
         result.decodedAll = true;
         result.obsMask = obs;
-        result.weight = weight;
+        result.weight = toNats(weight);
     } else {
         result.forwarded = true;
         rt::assignRange(result.residual, defects.begin(),

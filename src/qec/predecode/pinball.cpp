@@ -57,8 +57,8 @@ PinballPredecoder::PinballPredecoder(const DecodingGraph &graph,
         std::iota(order.begin(), order.end(), 0u);
         std::sort(order.begin(), order.end(),
                   [&](uint32_t a, uint32_t b) {
-                      const float wa = graph.edgeWeight(row[a].edgeId);
-                      const float wb = graph.edgeWeight(row[b].edgeId);
+                      const Weight wa = graph.edgeWeight(row[a].edgeId);
+                      const Weight wb = graph.edgeWeight(row[b].edgeId);
                       if (wa != wb) {
                           return wa < wb;
                       }
@@ -90,6 +90,7 @@ PinballPredecoder::predecode(std::span<const uint32_t> defects,
 
     int32_t *proposal = arena.allocate<int32_t>(n);
     uint32_t *proposalEdge = arena.allocate<uint32_t>(n);
+    Weight weight = 0;
 
     for (int round = 0; round < config_.rounds; ++round) {
         // No sg.refresh() needed: the propose loop reads only the
@@ -139,16 +140,14 @@ PinballPredecoder::predecode(std::span<const uint32_t> defects,
             if (proposal[i] == kBoundaryProposal) {
                 result.obsMask ^=
                     graph_.edgeObsMask(proposalEdge[i]);
-                result.weight +=
-                    graph_.edgeWeight(proposalEdge[i]);
+                weight += graph_.edgeWeight(proposalEdge[i]);
                 sg.kill(i);
                 any_commit = true;
             } else if (proposal[i] > i &&
                        proposal[proposal[i]] == i) {
                 result.obsMask ^=
                     graph_.edgeObsMask(proposalEdge[i]);
-                result.weight +=
-                    graph_.edgeWeight(proposalEdge[i]);
+                weight += graph_.edgeWeight(proposalEdge[i]);
                 sg.kill(i);
                 sg.kill(proposal[i]);
                 any_commit = true;
@@ -158,6 +157,7 @@ PinballPredecoder::predecode(std::span<const uint32_t> defects,
             break;
         }
     }
+    result.weight = toNats(weight);
 
     for (int i = 0; i < n; ++i) {
         if (sg.alive(i)) {
@@ -184,8 +184,8 @@ PinballPredecoder::predecodeBlock(
     // Lane l's subgraph nodes are exactly the union nodes whose
     // alive word has bit l set, so per-lane local indices and union
     // indices enumerate the same detectors in the same (ascending)
-    // order — which is what keeps per-lane commit order, and hence
-    // the floating-point weight accumulation, identical to serial.
+    // order — which is what keeps per-lane commit order identical
+    // to serial.
     BlockScratch &block = workspace.block;
     block.unionDets.clear();
     for (uint32_t det = 0;
@@ -273,7 +273,7 @@ PinballPredecoder::predecodeBlock(
                 const uint32_t eid =
                     static_cast<uint32_t>(boundaryEdgeOf[i]);
                 const uint64_t obs = graph_.edgeObsMask(eid);
-                const float w = graph_.edgeWeight(eid);
+                const double w = toNats(graph_.edgeWeight(eid));
                 forEachSetBit(bmask, [&](int lane) {
                     result.obsMask[lane] ^= obs;
                     result.weight[lane] += w;
@@ -306,7 +306,7 @@ PinballPredecoder::predecodeBlock(
                 }
                 const uint32_t eid = rowEdge[o];
                 const uint64_t obs = graph_.edgeObsMask(eid);
-                const float w = graph_.edgeWeight(eid);
+                const double w = toNats(graph_.edgeWeight(eid));
                 forEachSetBit(m, [&](int lane) {
                     result.obsMask[lane] ^= obs;
                     result.weight[lane] += w;

@@ -84,9 +84,9 @@ struct PredecodeResult
  *
  * Bit-identity contract: for every requested lane, the per-lane
  * fields must equal what the serial `predecode()` of that lane's
- * defect list would produce — including the floating-point
- * accumulation order of `weight` (enforced registry-wide by
- * tests/test_block_decode.cpp).
+ * defect list would produce, `weight` included (an exact sum of
+ * integer edge weights, so its order does not matter; enforced
+ * registry-wide by tests/test_block_decode.cpp).
  */
 struct BlockPredecodeResult
 {

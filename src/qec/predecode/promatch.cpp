@@ -1,7 +1,6 @@
 #include "qec/predecode/promatch.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "qec/api/registry.hpp"
 #include "qec/decoders/workspace.hpp"
@@ -53,10 +52,11 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
         return 6; // Nothing fits; keep shrinking, pipeline aborts.
     };
 
+    Weight weight = 0; // Prematched total, reported once at the end.
     const auto match_pair = [&](int i, int j) {
         const uint32_t eid = sg.edgeIdOf(i, j);
         result.obsMask ^= graph_.edgeObsMask(eid);
-        result.weight += graph_.edgeWeight(eid);
+        weight += graph_.edgeWeight(eid);
         sg.kill(i);
         sg.kill(j);
     };
@@ -117,18 +117,18 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
         // --- Scan all edges for Step 2 / Step 4 candidates.
         struct Candidate
         {
-            double weight = kNoEdge;
+            Weight weight = kNoEdge;
             int i = -1, j = -1;
         };
         Candidate c21, c22, c41, c42;
         const auto consider = [&](Candidate &c, int i, int j,
-                                  double w) {
+                                  Weight w) {
             if (w < c.weight) {
                 c = {w, i, j};
             }
         };
         for (const auto &[i, j] : edges) {
-            const double w = sg.edgeWeightOf(i, j);
+            const Weight w = sg.edgeWeightOf(i, j);
             const bool deg1 =
                 std::min(sg.degree(i), sg.degree(j)) == 1;
             if (!creates_singleton(i, j)) {
@@ -142,7 +142,7 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
         // no safe Step-2 candidate exists (Algorithm 1).
         struct Step3Candidate
         {
-            double weight = kNoEdge;
+            Weight weight = kNoEdge;
             int singleton = -1;
             int partner = -1; //!< Local index, or -1 for boundary.
         };
@@ -164,8 +164,8 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
                     // lookups below hit the gathered dense block
                     // (bit-copies of the PathTable).
                     ++paths;
-                    const double bw = dv.distToBoundary(s);
-                    if (std::isfinite(bw) && bw < c3.weight) {
+                    const uint32_t bw = dv.distToBoundary(s);
+                    if (bw != kNoPath && bw < c3.weight) {
                         c3 = {bw, s, -1};
                     }
                     for (int i = 0; i < sg.size(); ++i) {
@@ -176,8 +176,8 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
                         if (sg.removalCreatesSingleton(i)) {
                             continue;
                         }
-                        const double w = dv.dist(s, i);
-                        if (std::isfinite(w) && w < c3.weight) {
+                        const uint32_t w = dv.dist(s, i);
+                        if (w != kNoPath && w < c3.weight) {
                             c3 = {w, s, i};
                         }
                     }
@@ -206,12 +206,12 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
             result.steps.step3 = true;
             if (c3.partner < 0) {
                 result.obsMask ^= dv.boundaryObs(c3.singleton);
-                result.weight += c3.weight;
+                weight += c3.weight;
                 sg.kill(c3.singleton);
             } else {
                 result.obsMask ^=
                     dv.obs(c3.singleton, c3.partner);
-                result.weight += c3.weight;
+                weight += c3.weight;
                 sg.kill(c3.singleton);
                 sg.kill(c3.partner);
             }
@@ -225,6 +225,7 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
             break; // No candidate anywhere: coverage exhausted.
         }
     }
+    result.weight = toNats(weight);
 
     for (int i = 0; i < sg.size(); ++i) {
         if (sg.alive(i)) {

@@ -18,7 +18,7 @@ namespace
 /** A defect-defect adjacency, sortable by weight. */
 struct LocalEdge
 {
-    double weight;
+    Weight weight;
     uint32_t eid;
     int i, j;
 };
@@ -70,6 +70,7 @@ SmithPredecoder::predecode(std::span<const uint32_t> defects,
 
     uint8_t *matched = arena.allocate<uint8_t>(n);
     std::fill_n(matched, n, uint8_t{0});
+    Weight weight = 0;
     for (const LocalEdge &edge : edges) {
         if (matched[edge.i] || matched[edge.j]) {
             continue;
@@ -77,8 +78,9 @@ SmithPredecoder::predecode(std::span<const uint32_t> defects,
         matched[edge.i] = 1;
         matched[edge.j] = 1;
         result.obsMask ^= graph_.edgeObsMask(edge.eid);
-        result.weight += graph_.edgeWeight(edge.eid);
+        weight += edge.weight;
     }
+    result.weight = toNats(weight);
 
     for (int i = 0; i < n; ++i) {
         if (!matched[i]) {
@@ -145,8 +147,8 @@ SmithPredecoder::predecodeBlock(
 
     // One greedy walk over the union-sorted edges. Because the sort
     // key is total, each lane sees its own edges in exactly its own
-    // serial sorted order, so the per-lane weight sums accumulate in
-    // the same floating-point order as the serial pass.
+    // serial sorted order, so each lane matches what its serial pass
+    // matches (and its weight sum is exact, in any order).
     for (const LocalEdge &edge : edges) {
         const uint64_t both = present[edge.i] & present[edge.j];
         if (both == 0) {
@@ -163,7 +165,7 @@ SmithPredecoder::predecodeBlock(
         matched[edge.i] |= m;
         matched[edge.j] |= m;
         const uint64_t obs = graph_.edgeObsMask(edge.eid);
-        const double weight = graph_.edgeWeight(edge.eid);
+        const double weight = toNats(edge.weight);
         forEachSetBit(m, [&](int lane) {
             result.obsMask[lane] ^= obs;
             result.weight[lane] += weight;

@@ -142,7 +142,7 @@ class SyndromeSubgraph
     uint32_t edgeIdOf(int i, int j) const;
 
     /** Weight of the direct edge (i, j), from the SoA hot fields. */
-    float
+    Weight
     edgeWeightOf(int i, int j) const
     {
         return graph_->edgeWeight(edgeIdOf(i, j));

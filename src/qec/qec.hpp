@@ -28,7 +28,6 @@
 #include "qec/decoders/decoder.hpp"
 #include "qec/decoders/fallback.hpp"
 #include "qec/decoders/latency.hpp"
-#include "qec/decoders/mwpm_decoder.hpp"
 #include "qec/decoders/parallel.hpp"
 #include "qec/decoders/pipeline.hpp"
 #include "qec/decoders/union_find.hpp"

@@ -95,6 +95,17 @@ FrameSimulator::run(Rng *rng, const std::vector<Injection> *injections,
         }
     };
 
+    // Lanes whose injection flips a measurement record: the
+    // measurement walk checks only these, not every lane per target.
+    uint64_t record_flip_lanes = 0;
+    if (injections) {
+        for (size_t lane = 0; lane < injections->size(); ++lane) {
+            if ((*injections)[lane].recordFlip) {
+                record_flip_lanes |= 1ull << lane;
+            }
+        }
+    }
+
     const auto &instructions = circuit_.instructions();
     for (uint32_t idx = 0; idx < instructions.size(); ++idx) {
         const Instruction &inst = instructions[idx];
@@ -130,18 +141,16 @@ FrameSimulator::run(Rng *rng, const std::vector<Injection> *injections,
                     // Measurement decoheres the conjugate frame.
                     frameZ[q] = rng->next64();
                 } else {
-                    const uint32_t rec_index =
-                        static_cast<uint32_t>(record.size());
-                    for (size_t lane = 0; lane < injections->size();
-                         ++lane) {
+                    for (uint64_t lanes = record_flip_lanes; lanes;
+                         lanes &= lanes - 1) {
+                        const int lane = std::countr_zero(lanes);
                         const Injection &inj = (*injections)[lane];
-                        if (inj.recordFlip && inj.opIndex == idx &&
+                        if (inj.opIndex == idx &&
                             inst.targets[inj.targetOffset] == q &&
                             inj.targetOffset == i) {
                             result ^= 1ull << lane;
                         }
                     }
-                    (void)rec_index;
                 }
                 record.push_back(result);
             }

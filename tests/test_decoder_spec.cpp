@@ -273,7 +273,7 @@ TEST(DecoderRegistry, EveryCanonicalSpecBuildsAndRoundTrips)
     // builds the composition its text names.
     const std::pair<const char *, const char *> cases[] = {
         {"mwpm", "MWPM"},
-        {"sparse", "SparseMWPM"},
+        {"sparse", "MWPM"},
         {"astrea", "Astrea"},
         {"astrea_g", "Astrea-G"},
         {"union_find", "UnionFind"},
@@ -285,8 +285,8 @@ TEST(DecoderRegistry, EveryCanonicalSpecBuildsAndRoundTrips)
         {"clique+astrea_g", "Clique+Astrea-G"},
         {"promatch+astrea||astrea_g", "Promatch+Astrea||Astrea-G"},
         {"smith+astrea||astrea_g", "Smith+Astrea||Astrea-G"},
-        {"promatch+sparse", "Promatch+SparseMWPM"},
-        {"pinball+sparse", "Pinball+SparseMWPM"},
+        {"promatch+sparse", "Promatch+MWPM"},
+        {"pinball+sparse", "Pinball+MWPM"},
         {"pinball+astrea", "Pinball+Astrea"},
         {"pinball+mwpm", "Pinball+MWPM"},
         {"pinball+astrea||astrea_g", "Pinball+Astrea||Astrea-G"},

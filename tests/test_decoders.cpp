@@ -7,13 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 
 #include "qec/api/registry.hpp"
 #include "qec/decoders/astrea.hpp"
 #include "qec/decoders/astrea_g.hpp"
-#include "qec/decoders/mwpm_decoder.hpp"
+#include "qec/decoders/sparse_mwpm.hpp"
 #include "qec/decoders/union_find.hpp"
 #include "qec/decoders/workspace.hpp"
 #include "qec/harness/context.hpp"
@@ -97,7 +98,7 @@ TEST(Decoders, MwpmCorrectsTwoArbitraryFaultsAtD5)
     // exact decoder — this doubles as a circuit-distance check.
     DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    MwpmDecoder decoder(ctx.graph(), ctx.paths());
+    SparseMwpmDecoder decoder(ctx.graph(), ctx.paths());
     const auto &mechanisms = ctx.dem().mechanisms();
     Rng rng(99);
     for (int trial = 0; trial < 1500; ++trial) {
@@ -133,7 +134,7 @@ TEST(Decoders, AstreaEqualsMwpmOnLowHwSyndromes)
     DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     AstreaDecoder astrea(ctx.graph(), ctx.paths());
-    MwpmDecoder mwpm(ctx.graph(), ctx.paths());
+    SparseMwpmDecoder mwpm(ctx.graph(), ctx.paths());
     ImportanceSampler sampler(ctx.dem(), 4);
     Rng rng(4242);
     int compared = 0;
@@ -148,13 +149,50 @@ TEST(Decoders, AstreaEqualsMwpmOnLowHwSyndromes)
             const DecodeResult b =
                 mwpm.decode(sample.defects, workspace);
             ASSERT_FALSE(a.aborted);
-            // Exact engines must agree on the matching weight; obs
-            // can only differ between equal-weight optima.
-            ASSERT_NEAR(a.weight, b.weight, 1e-6);
+            // Exact engines must agree on the matching weight
+            // exactly (integer sums); obs can only differ between
+            // equal-weight optima.
+            ASSERT_EQ(a.weight, b.weight);
             ++compared;
         }
     }
     EXPECT_GT(compared, 500);
+}
+
+TEST(Decoders, PipelineReportsMainDecoderRealTime)
+{
+    // A pipeline whose main decoder is not real-time is not
+    // real-time either, whether or not the predecoder engaged:
+    // decode() and decodeBlock() compose through the same rule.
+    const auto &ctx = ExperimentContext::get(5, 1e-3);
+    auto stack = build(DecoderSpec::parse("smith+mwpm"), ctx.graph(),
+                       ctx.paths());
+    ImportanceSampler sampler(ctx.dem(), 16);
+    DecodeWorkspace workspace;
+    DecodeTrace trace;
+    std::vector<uint64_t> words(ctx.graph().numDetectors(), 0);
+    std::array<DecodeResult, 64> block;
+    int engaged = 0;
+    for (int s = 0; s < 400; ++s) {
+        Rng rng = Rng::forSample(0x7ea1, 1 + s % 16, s);
+        const auto sample = sampler.sample(1 + s % 16, rng);
+        const DecodeResult result =
+            stack->decode(sample.defects, workspace, &trace);
+        EXPECT_FALSE(result.realTime) << "sample " << s;
+        engaged += trace.predecoderEngaged ? 1 : 0;
+        const int lane = s % 64;
+        for (uint32_t det : sample.defects) {
+            words[det] |= uint64_t{1} << lane;
+        }
+        if (lane == 63) {
+            stack->decodeBlock(words, 64, workspace, block.data());
+            for (const DecodeResult &r : block) {
+                EXPECT_FALSE(r.realTime) << "block ending " << s;
+            }
+            std::fill(words.begin(), words.end(), 0);
+        }
+    }
+    EXPECT_GT(engaged, 100);
 }
 
 TEST(Decoders, AstreaAbortsAboveMaxHw)
@@ -261,7 +299,7 @@ TEST(Decoders, ParallelPicksLowerWeightSide)
     auto parallel = build(
         DecoderSpec::parse("promatch+astrea||astrea_g"), ctx.graph(),
         ctx.paths());
-    MwpmDecoder mwpm(ctx.graph(), ctx.paths());
+    SparseMwpmDecoder mwpm(ctx.graph(), ctx.paths());
     ImportanceSampler sampler(ctx.dem(), 4);
     Rng rng(5);
     for (int s = 0; s < 200; ++s) {
@@ -272,7 +310,7 @@ TEST(Decoders, ParallelPicksLowerWeightSide)
             mwpm.decode(sample.defects, workspace);
         ASSERT_FALSE(par.aborted);
         // The arbitrated weight can never beat the exact optimum.
-        EXPECT_GE(par.weight + 1e-6, ideal.weight);
+        EXPECT_GE(par.weight, ideal.weight);
     }
 }
 

@@ -13,6 +13,8 @@
 
 #include "qec/dem/decompose.hpp"
 #include "qec/dem/dem.hpp"
+#include "qec/graph/decoding_graph.hpp"
+#include "qec/graph/path_table.hpp"
 #include "qec/sim/error_enumerator.hpp"
 #include "qec/sim/frame_simulator.hpp"
 #include "qec/surface/circuit_gen.hpp"
@@ -64,6 +66,52 @@ TEST(Dem, DropsInvisibleMechanisms)
     dem.addMechanism({}, 0, 0.1);
     dem.addMechanism({3, 3}, 0, 0.1);
     EXPECT_TRUE(dem.mechanisms().empty());
+}
+
+TEST(Dem, DecodingGraphRejectsEdgeProbabilityOfHalfOrMore)
+{
+    // addMechanism accepts these probabilities; the graph build must
+    // throw, not abort, since DEMs can come from circuit text.
+    for (double p : {0.5, 0.7, std::nan("")}) {
+        DetectorErrorModel dem(2, 1);
+        dem.addMechanism({0, 1}, 0, p);
+        const GraphlikeDem graphlike = decomposeToGraphlike(dem);
+        ASSERT_EQ(graphlike.edges.size(), 1u) << p;
+        EXPECT_THROW(DecodingGraph::fromDem(graphlike), DemError)
+            << p;
+    }
+}
+
+TEST(Dem, PathTableRejectsMoreThanEightObservables)
+{
+    GraphlikeDem dem;
+    dem.numDetectors = 2;
+    dem.numObservables = 9;
+    dem.edges.push_back({0, 1, uint64_t{1} << 8, 0.01});
+    dem.edges.push_back({0, kBoundary, 0, 0.01});
+    const DecodingGraph graph = DecodingGraph::fromDem(dem);
+    EXPECT_THROW(PathTable{graph}, DemError);
+    EXPECT_THROW((PathTable{graph, PathTable::DeferPairs{}}),
+                 DemError);
+    dem.numObservables = 8;
+    dem.edges[0].obsMask = uint64_t{1} << 7;
+    const DecodingGraph eight = DecodingGraph::fromDem(dem);
+    EXPECT_EQ(PathTable{eight}.pathObs(0, 1), uint64_t{1} << 7);
+}
+
+TEST(Dem, DecodingGraphRejectsPathsThatOverflowDistances)
+{
+    // p = 1e-300 weighs ~690.8 nat = 44,209 units: a path of 100,000
+    // such edges would not fit a 32-bit distance, one of 1,000 does.
+    GraphlikeDem dem;
+    dem.numDetectors = 100000;
+    dem.numObservables = 1;
+    dem.edges.push_back({0, 1, 0, 1e-300});
+    EXPECT_THROW(DecodingGraph::fromDem(dem), DemError);
+    dem.numDetectors = 1000;
+    const DecodingGraph graph = DecodingGraph::fromDem(dem);
+    EXPECT_EQ(graph.maxEdgeWeight(),
+              std::llround(std::log(1e300) / kWeightUnit));
 }
 
 TEST(Decompose, PassesThroughGraphlikeMechanisms)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 
 #include "qec/graph/decoding_graph.hpp"
 #include "qec/graph/path_table.hpp"
@@ -16,6 +17,13 @@ namespace qec
 {
 namespace
 {
+
+/** log((1-p)/p) in kWeightUnit, rounded: the quantized weight. */
+Weight
+units(double p)
+{
+    return std::llround(std::log((1.0 - p) / p) / kWeightUnit);
+}
 
 GraphlikeDem
 smallDem()
@@ -50,8 +58,9 @@ TEST(DecodingGraph, WeightIsLogLikelihoodRatio)
     const DecodingGraph graph = DecodingGraph::fromDem(smallDem());
     const int eid = graph.edgeBetween(0, 1);
     ASSERT_GE(eid, 0);
-    EXPECT_NEAR(graph.edges()[eid].weight,
-                std::log(0.9 / 0.1), 1e-12);
+    EXPECT_EQ(graph.edges()[eid].weight, units(0.1));
+    EXPECT_EQ(graph.edges()[eid].weight, 141); // 2.1972 nat * 64
+    EXPECT_EQ(graph.edgeWeight(eid), graph.edges()[eid].weight);
 }
 
 TEST(DecodingGraph, MergesParallelEdgesKeepingDominantObs)
@@ -73,13 +82,13 @@ TEST(PathTable, ShortestPathsAvoidHeavyEdge)
 {
     const DecodingGraph graph = DecodingGraph::fromDem(smallDem());
     const PathTable paths(graph);
-    const double w01 = std::log(0.9 / 0.1);
+    const Weight w01 = units(0.1);
     // 0->2 goes through 1 (2*w01) instead of the heavy direct edge.
-    EXPECT_NEAR(paths.dist(0, 2), 2 * w01, 1e-6);
+    EXPECT_EQ(paths.dist(0, 2), 2 * w01);
     EXPECT_EQ(paths.pathHops(0, 2), 2);
     // Observable parity along 0-1-2 is 0 (both edges obs-free).
     EXPECT_EQ(paths.pathObs(0, 2), 0ull);
-    EXPECT_DOUBLE_EQ(paths.dist(1, 1), 0.0);
+    EXPECT_EQ(paths.dist(1, 1), 0u);
 }
 
 TEST(PathTable, BoundaryUsesBestAttachment)
@@ -87,15 +96,12 @@ TEST(PathTable, BoundaryUsesBestAttachment)
     const DecodingGraph graph = DecodingGraph::fromDem(smallDem());
     const PathTable paths(graph);
     // Node 0 attaches directly (p=0.01 edge).
-    EXPECT_NEAR(paths.distToBoundary(0), std::log(0.99 / 0.01),
-                1e-6);
+    EXPECT_EQ(paths.distToBoundary(0), units(0.01));
     EXPECT_EQ(paths.boundaryHops(0), 1);
     EXPECT_EQ(paths.boundaryObs(0), 1ull);
     // Node 1's best boundary route is via node 2 (w12 + w2B is
     // cheaper than w01 + w0B).
-    const double expected = std::log(0.9 / 0.1) +
-                            std::log(0.8 / 0.2);
-    EXPECT_NEAR(paths.distToBoundary(1), expected, 1e-6);
+    EXPECT_EQ(paths.distToBoundary(1), units(0.1) + units(0.2));
     EXPECT_EQ(paths.boundaryHops(1), 2);
     EXPECT_EQ(paths.boundaryObs(1), 0ull);
 }
@@ -107,11 +113,11 @@ TEST(PathTable, MatchesFloydWarshallOnSurfaceGraph)
     const PathTable &paths = ctx.paths();
     const uint32_t n = graph.numDetectors();
 
-    // Floyd-Warshall reference.
-    std::vector<std::vector<double>> dist(
-        n, std::vector<double>(n, 1e18));
+    // Floyd-Warshall reference, in exact integer weights.
+    std::vector<std::vector<Weight>> dist(
+        n, std::vector<Weight>(n, Weight{kNoPath}));
     for (uint32_t i = 0; i < n; ++i) {
-        dist[i][i] = 0.0;
+        dist[i][i] = 0;
     }
     for (const GraphEdge &edge : graph.edges()) {
         if (edge.v == kBoundary) {
@@ -131,7 +137,7 @@ TEST(PathTable, MatchesFloydWarshallOnSurfaceGraph)
     }
     for (uint32_t i = 0; i < n; ++i) {
         for (uint32_t j = 0; j < n; ++j) {
-            ASSERT_NEAR(paths.dist(i, j), dist[i][j], 1e-4)
+            ASSERT_EQ(paths.dist(i, j), dist[i][j])
                 << i << "," << j;
         }
     }
@@ -142,15 +148,15 @@ TEST(PathTable, SurfaceGraphBoundaryReachableEverywhere)
     const auto &ctx = ExperimentContext::get(3, 1e-3);
     for (uint32_t det = 0; det < ctx.graph().numDetectors();
          ++det) {
-        EXPECT_TRUE(std::isfinite(ctx.paths().distToBoundary(det)));
-        EXPECT_GT(ctx.paths().distToBoundary(det), 0.0);
+        EXPECT_NE(ctx.paths().distToBoundary(det), kNoPath);
+        EXPECT_GT(ctx.paths().distToBoundary(det), 0u);
     }
 }
 
 TEST(PathTable, DeferredTableKeepsLandmarkColumns)
 {
     // A DeferPairs table keeps the boundary column plus kLandmarks
-    // float landmark columns: each landmark sits at distance 0 in
+    // landmark columns: each landmark sits at distance 0 in
     // its own column, every column obeys the triangle inequality
     // against the dense pair distances, and storageBytes() counts
     // exactly the cells and columns of either mode.
@@ -162,24 +168,23 @@ TEST(PathTable, DeferredTableKeepsLandmarkColumns)
     ASSERT_EQ(lms, PathTable::kLandmarks);
     EXPECT_EQ(dense.numLandmarks(), 0);
     EXPECT_EQ(deferred.storageBytes(),
-              n * sizeof(PathCell) + n * lms * sizeof(float));
+              n * sizeof(PathCell) + n * lms * sizeof(uint32_t));
     EXPECT_EQ(dense.storageBytes(),
               (static_cast<size_t>(n) * n + n) * sizeof(PathCell));
     for (int l = 0; l < lms; ++l) {
         int at_zero = 0;
         for (uint32_t v = 0; v < n; ++v) {
-            at_zero += deferred.landmarkRow(v)[l] == 0.0f;
+            at_zero += deferred.landmarkRow(v)[l] == 0u;
         }
         EXPECT_GE(at_zero, 1) << "landmark " << l;
     }
     for (uint32_t i = 0; i < n; ++i) {
         for (uint32_t j = 0; j < n; ++j) {
             for (int l = 0; l < lms; ++l) {
-                const double a = deferred.landmarkRow(i)[l];
-                const double b = deferred.landmarkRow(j)[l];
-                // Slack for the float columns' rounding.
-                ASSERT_LE(std::fabs(a - b),
-                          dense.dist(i, j) + 1e-6 * (a + b))
+                const Weight a = deferred.landmarkRow(i)[l];
+                const Weight b = deferred.landmarkRow(j)[l];
+                // Exact: no rounding slack.
+                ASSERT_LE(std::abs(a - b), Weight{dense.dist(i, j)})
                     << i << "," << j << " landmark " << l;
             }
         }

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "qec/api/registry.hpp"
-#include "qec/decoders/mwpm_decoder.hpp"
+#include "qec/decoders/sparse_mwpm.hpp"
 #include "qec/decoders/workspace.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/ler_estimator.hpp"
@@ -24,8 +24,8 @@ TEST(Integration, MwpmSuppressesErrorsBelowThreshold)
     // with distance.
     const auto &ctx3 = ExperimentContext::get(3, 2e-3);
     const auto &ctx5 = ExperimentContext::get(5, 2e-3);
-    MwpmDecoder d3(ctx3.graph(), ctx3.paths());
-    MwpmDecoder d5(ctx5.graph(), ctx5.paths());
+    SparseMwpmDecoder d3(ctx3.graph(), ctx3.paths());
+    SparseMwpmDecoder d5(ctx5.graph(), ctx5.paths());
 
     const DirectMcResult r3 =
         estimateLerDirect(ctx3, d3, 40000, 7);
@@ -41,7 +41,7 @@ TEST(Integration, ImportanceSamplingMatchesDirectMonteCarlo)
     // The Eq. 1 estimator and plain Monte-Carlo must agree within
     // statistics at a rate where both are measurable.
     const auto &ctx = ExperimentContext::get(3, 3e-3);
-    MwpmDecoder decoder(ctx.graph(), ctx.paths());
+    SparseMwpmDecoder decoder(ctx.graph(), ctx.paths());
 
     LerOptions options;
     options.kMax = 12;
@@ -130,7 +130,7 @@ TEST(Integration, NoiselessExperimentNeverFails)
 {
     const ExperimentContext ctx(3, 1e-4, 3);
     // Decode noiseless shots: every decoder sees empty syndromes.
-    MwpmDecoder decoder(ctx.graph(), ctx.paths());
+    SparseMwpmDecoder decoder(ctx.graph(), ctx.paths());
     const ExperimentContext quiet(3, 1e-9, 3);
     const DirectMcResult result =
         estimateLerDirect(quiet, decoder, 5000, 1);
@@ -160,7 +160,7 @@ TEST(Integration, SampleDefectsMatchInjectedParity)
     // checking failures are rare for k=1 (always correctable).
     DecodeWorkspace workspace;
     const auto &ctx = ExperimentContext::get(5, 1e-3);
-    MwpmDecoder decoder(ctx.graph(), ctx.paths());
+    SparseMwpmDecoder decoder(ctx.graph(), ctx.paths());
     ImportanceSampler sampler(ctx.dem(), 4);
     Rng rng(2);
     for (int s = 0; s < 500; ++s) {

@@ -30,12 +30,15 @@ randomProblem(Rng &rng, int n, double no_edge_prob,
     p.pairWeight.assign(static_cast<size_t>(n) * n, kNoEdge);
     p.boundaryWeight.assign(n, kNoEdge);
     for (int i = 0; i < n; ++i) {
+        // Integer weights in 0.5 .. 10.5 nats (32 .. 672 units).
         if (allow_boundary) {
-            p.boundaryWeight[i] = 0.5 + 10.0 * rng.nextDouble();
+            p.boundaryWeight[i] =
+                32 + static_cast<Weight>(rng.next64() % 641);
         }
         for (int j = i + 1; j < n; ++j) {
             if (!rng.nextBool(no_edge_prob)) {
-                p.setPair(i, j, 0.5 + 10.0 * rng.nextDouble());
+                p.setPair(i, j,
+                          32 + static_cast<Weight>(rng.next64() % 641));
             }
         }
     }
@@ -53,13 +56,13 @@ expectSolutionsMatch(const MatchingProblem &problem, int trial)
     if (!oracle.valid) {
         return;
     }
-    // Weights must agree up to quantization error; the mate arrays
+    // Integer weights: the totals agree exactly; the mate arrays
     // may legitimately differ between equal-weight optima.
-    EXPECT_NEAR(oracle.totalWeight, blossom.totalWeight, 1e-4)
+    EXPECT_EQ(oracle.totalWeight, blossom.totalWeight)
         << "trial " << trial;
     // The blossom solution must be internally consistent.
-    EXPECT_NEAR(matchingWeight(problem, blossom),
-                blossom.totalWeight, 1e-9);
+    EXPECT_EQ(toNats(matchingWeight(problem, blossom)),
+              blossom.totalWeight);
     for (int i = 0; i < problem.n; ++i) {
         const int m = blossom.mate[i];
         ASSERT_TRUE(m == -1 || (m >= 0 && m < problem.n));
@@ -116,17 +119,17 @@ TEST(Blossom, OddCycleForcesBlossom)
     p.pairWeight.assign(36, kNoEdge);
     p.boundaryWeight.assign(6, kNoEdge);
     // Cycle 0-1-2-3-4-0, cheap chord weights to tempt greed.
-    p.setPair(0, 1, 1.0);
-    p.setPair(1, 2, 1.0);
-    p.setPair(2, 3, 1.0);
-    p.setPair(3, 4, 1.0);
-    p.setPair(4, 0, 1.0);
-    p.setPair(4, 5, 2.0);
+    p.setPair(0, 1, 64);
+    p.setPair(1, 2, 64);
+    p.setPair(2, 3, 64);
+    p.setPair(3, 4, 64);
+    p.setPair(4, 0, 64);
+    p.setPair(4, 5, 128);
     expectSolutionsMatch(p, 0);
     const MatchingSolution s = solveBlossom(p);
     ASSERT_TRUE(s.valid);
     // Optimal: (4,5) + two cycle edges = 4.0 total.
-    EXPECT_NEAR(s.totalWeight, 4.0, 1e-6);
+    EXPECT_EQ(s.totalWeight, 4.0);
 }
 
 TEST(Blossom, PrefersBoundaryWhenCheaper)
@@ -134,13 +137,13 @@ TEST(Blossom, PrefersBoundaryWhenCheaper)
     MatchingProblem p;
     p.n = 2;
     p.pairWeight.assign(4, kNoEdge);
-    p.boundaryWeight = {1.0, 1.0};
-    p.setPair(0, 1, 10.0);
+    p.boundaryWeight = {64, 64};
+    p.setPair(0, 1, 640);
     const MatchingSolution s = solveBlossom(p);
     ASSERT_TRUE(s.valid);
     EXPECT_EQ(s.mate[0], -1);
     EXPECT_EQ(s.mate[1], -1);
-    EXPECT_NEAR(s.totalWeight, 2.0, 1e-6);
+    EXPECT_EQ(s.totalWeight, 2.0);
 }
 
 TEST(Blossom, PrefersPairWhenCheaper)
@@ -148,12 +151,12 @@ TEST(Blossom, PrefersPairWhenCheaper)
     MatchingProblem p;
     p.n = 2;
     p.pairWeight.assign(4, kNoEdge);
-    p.boundaryWeight = {10.0, 10.0};
-    p.setPair(0, 1, 1.0);
+    p.boundaryWeight = {640, 640};
+    p.setPair(0, 1, 64);
     const MatchingSolution s = solveBlossom(p);
     ASSERT_TRUE(s.valid);
     EXPECT_EQ(s.mate[0], 1);
-    EXPECT_NEAR(s.totalWeight, 1.0, 1e-6);
+    EXPECT_EQ(s.totalWeight, 1.0);
 }
 
 TEST(Blossom, EmptyProblem)
@@ -170,11 +173,11 @@ TEST(Blossom, SingleDefectMatchesBoundary)
     MatchingProblem p;
     p.n = 1;
     p.pairWeight.assign(1, kNoEdge);
-    p.boundaryWeight = {3.5};
+    p.boundaryWeight = {224};
     const MatchingSolution s = solveBlossom(p);
     ASSERT_TRUE(s.valid);
     EXPECT_EQ(s.mate[0], -1);
-    EXPECT_NEAR(s.totalWeight, 3.5, 1e-9);
+    EXPECT_EQ(s.totalWeight, 3.5);
 }
 
 TEST(Blossom, InfeasibleWithoutBoundaryOddN)
@@ -183,9 +186,9 @@ TEST(Blossom, InfeasibleWithoutBoundaryOddN)
     p.n = 3;
     p.pairWeight.assign(9, kNoEdge);
     p.boundaryWeight.assign(3, kNoEdge);
-    p.setPair(0, 1, 1.0);
-    p.setPair(1, 2, 1.0);
-    p.setPair(0, 2, 1.0);
+    p.setPair(0, 1, 64);
+    p.setPair(1, 2, 64);
+    p.setPair(0, 2, 64);
     const MatchingSolution s = solveBlossom(p);
     EXPECT_FALSE(s.valid);
     ExhaustiveSolver exhaustive;
@@ -252,12 +255,12 @@ TEST(Blossom, SolverReuseMatchesFreshSolves)
 TEST(Matching, MatchingWeightFlagsDisallowedPairing)
 {
     // Regression: matchingWeight used to silently sum kNoEdge
-    // (infinity) into the total when a solution used a disallowed
+    // into the total when a solution used a disallowed
     // pairing; it must report valid=false instead.
     MatchingProblem p;
     p.n = 2;
     p.pairWeight.assign(4, kNoEdge); // Pairing 0-1 is illegal.
-    p.boundaryWeight.assign(2, 1.5);
+    p.boundaryWeight.assign(2, 96);
 
     MatchingSolution bad;
     bad.mate = {1, 0};
@@ -268,7 +271,7 @@ TEST(Matching, MatchingWeightFlagsDisallowedPairing)
     MatchingSolution boundary;
     boundary.mate = {-1, -1};
     boundary.valid = true;
-    EXPECT_DOUBLE_EQ(matchingWeight(p, boundary), 3.0);
+    EXPECT_EQ(matchingWeight(p, boundary), 192);
     EXPECT_TRUE(boundary.valid);
 
     // Disallowed boundary matches are caught too.
@@ -287,17 +290,17 @@ TEST(Exhaustive, CountsMatchingsWithoutPruning)
     MatchingProblem p;
     p.n = 4;
     p.pairWeight.assign(16, kNoEdge);
-    p.boundaryWeight.assign(4, 1.0);
+    p.boundaryWeight.assign(4, 64);
     for (int i = 0; i < 4; ++i) {
         for (int j = i + 1; j < 4; ++j) {
-            p.setPair(i, j, 1.0);
+            p.setPair(i, j, 64);
         }
     }
     ExhaustiveSolver exhaustive;
     MatchingSolution s;
     exhaustive.solve(p, s);
     ASSERT_TRUE(s.valid);
-    EXPECT_NEAR(s.totalWeight, 2.0, 1e-9); // Two pair matches.
+    EXPECT_EQ(s.totalWeight, 2.0); // Two pair matches.
 }
 
 } // namespace
