@@ -160,101 +160,6 @@ printStageBreakdown(Bench &bench, const ExperimentContext &ctx,
                    : 0.0);
 }
 
-/**
- * Serial decode() loop vs the 64-lane decodeBlock() path on the
- * identical syndrome stream: the lane-parallel path scatters,
- * predecodes all lanes through one word-kernel call, compacts the
- * resolved lanes away, and shares one union distance gather — the
- * measured ratio is the whole-block speedup the LER engine's block
- * path banks per 64 samples. Packing the bit-planes is timed inside
- * the batch pass (the engine pays it too). Results are
- * bit-identical by the BlockDecode suite's contract, re-checked
- * here on the fly.
- */
-void
-printBatchBreakdown(Bench &bench, const ExperimentContext &ctx,
-                    const std::string &config,
-                    const LerOptions &options,
-                    const std::string &note_prefix = "")
-{
-    auto decoder = build(DecoderSpec::parse(config), ctx.graph(),
-                         ctx.paths());
-    ImportanceSampler sampler(ctx.dem(), options.kMax);
-
-    // One fixed syndrome stream, same counter-based draws as the
-    // sweep's k range.
-    std::vector<std::vector<uint32_t>> syndromes;
-    for (int k = std::max(1, options.skipBelowK);
-         k <= options.kMax; ++k) {
-        for (uint64_t i = 0;
-             i < static_cast<uint64_t>(options.samplesPerK); ++i) {
-            Rng rng = Rng::forSample(
-                options.seed, static_cast<uint64_t>(k), i);
-            syndromes.push_back(sampler.sample(k, rng).defects);
-        }
-    }
-
-    DecodeWorkspace workspace;
-    std::vector<DecodeResult> serial(syndromes.size());
-    const auto t_serial = Clock::now();
-    for (size_t i = 0; i < syndromes.size(); ++i) {
-        serial[i] = decoder->decode(syndromes[i], workspace);
-    }
-    const double serial_s = secondsSince(t_serial);
-
-    std::vector<uint64_t> words(ctx.graph().numDetectors(), 0);
-    std::vector<DecodeResult> batch(syndromes.size());
-    const auto t_batch = Clock::now();
-    for (size_t base = 0; base < syndromes.size(); base += 64) {
-        const int lanes = static_cast<int>(
-            std::min<size_t>(64, syndromes.size() - base));
-        for (int l = 0; l < lanes; ++l) {
-            for (uint32_t det : syndromes[base + l]) {
-                words[det] |= uint64_t{1} << l;
-            }
-        }
-        decoder->decodeBlock(words, lanes, workspace,
-                             &batch[base]);
-        for (int l = 0; l < lanes; ++l) {
-            for (uint32_t det : syndromes[base + l]) {
-                words[det] = 0;
-            }
-        }
-    }
-    const double batch_s = secondsSince(t_batch);
-
-    uint64_t mismatches = 0;
-    for (size_t i = 0; i < syndromes.size(); ++i) {
-        if (batch[i].predictedObs != serial[i].predictedObs ||
-            batch[i].weight != serial[i].weight ||
-            batch[i].aborted != serial[i].aborted) {
-            ++mismatches;
-        }
-    }
-
-    const double n = static_cast<double>(syndromes.size());
-    ReportTable table("Serial decode() vs 64-lane decodeBlock(), " +
-                          config + " (identical stream)",
-                      {"path", "wall s", "samples/s", "speedup",
-                       "bit-identical"});
-    table.addRow({"serial", formatFixed(serial_s, 3),
-                  formatFixed(n / serial_s, 0), "(ref)", "(ref)"});
-    table.addRow({"batch64", formatFixed(batch_s, 3),
-                  formatFixed(n / batch_s, 0),
-                  formatRatio(serial_s, batch_s),
-                  mismatches == 0 ? "yes" : "NO"});
-    bench.emit(table);
-    bench.note(note_prefix + "batch_samples_per_s", n / batch_s);
-    bench.note(note_prefix + "batch_speedup_vs_serial",
-               serial_s / batch_s);
-    if (mismatches != 0) {
-        std::fprintf(stderr,
-                     "batch/serial divergence on %llu samples\n",
-                     static_cast<unsigned long long>(mismatches));
-        std::exit(1);
-    }
-}
-
 /** Process peak RSS in MB (0 when the platform has no getrusage). */
 double
 peakRssMb()
@@ -577,19 +482,12 @@ main(int argc, char **argv)
     }
     bench.emit(table);
     printStageBreakdown(bench, ctx, config, options);
-    printBatchBreakdown(bench, ctx, config, options);
     // The Pinball onboarding rides the same report: its own
     // per-stage breakdown and the cross-predecoder
     // accuracy/coverage table (a --spec filter narrows the run to
     // that configuration only, so the extra breakdown is skipped).
     if (bench.cli().spec.empty()) {
         printStageBreakdown(bench, ctx, "pinball+astrea", options,
-                            "pinball_");
-        // Pinball is the stack where the lane-parallel word kernel
-        // engages (Promatch's predecoder falls back to the serial
-        // per-lane loop), so its batch ratio is the one that tracks
-        // the bit-parallel predecode win.
-        printBatchBreakdown(bench, ctx, "pinball+astrea", options,
                             "pinball_");
         // Sparse-matcher stack at the same d = 11 operating point:
         // its stage_match_share is the headline the sparse matching

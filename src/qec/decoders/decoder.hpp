@@ -171,15 +171,10 @@ class Decoder
     /**
      * Decode all `lanes` shots of a 64-lane syndrome block (one
      * word per detector, shot l = bit l — the FrameSimulator's
-     * BatchResult layout) on the calling thread.
-     *
-     * Results land at results[0 .. lanes), and every lane's result
-     * is bit-identical to a serial decode() of that lane's defect
-     * list (fuzz-enforced registry-wide by
-     * tests/test_block_decode.cpp). The default implementation
-     * extracts the lanes and decodes them one at a time; pipeline
-     * stacks override it to carry all lanes through predecode
-     * together (see PredecodedDecoder::decodeBlock).
+     * BatchResult layout) on the calling thread: a packed-input
+     * convenience that scatters the lanes and calls decode() on
+     * each, so every result is bit-identical to a serial decode()
+     * of that lane's defect list.
      *
      * @param detectorWords one 64-lane word per detector; bits of
      *                      lanes >= `lanes` are ignored
@@ -187,20 +182,12 @@ class Decoder
      * @param workspace     caller-owned scratch (as decode())
      * @param results       caller-owned array of >= `lanes` slots
      */
-    virtual void decodeBlock(std::span<const uint64_t> detectorWords,
-                             int lanes, DecodeWorkspace &workspace,
-                             DecodeResult *results);
+    void decodeBlock(std::span<const uint64_t> detectorWords,
+                     int lanes, DecodeWorkspace &workspace,
+                     DecodeResult *results);
 
     /** Short identifier used in reports (e.g. "Promatch||AG"). */
     virtual std::string name() const = 0;
-
-    /**
-     * True when this decoder's problem builder reads the
-     * workspace's gathered DistanceView (the dense matchers).
-     * Sparse-core decoders return false so composite stacks can
-     * skip shared gathers that nobody would consume.
-     */
-    virtual bool wantsDistanceView() const { return true; }
 
     const DecodingGraph &graph() const { return graph_; }
     const PathTable &paths() const { return paths_; }
@@ -213,9 +200,7 @@ class Decoder
 /**
  * Scatter the set bits of a detector-major 64-lane block into
  * per-lane sorted defect lists. Only the buckets of lanes in
- * `laneMask` are cleared and filled; the rest are left untouched
- * (the block decode path relies on that to keep low-HW lanes'
- * buckets alive across a predecodeBlock call).
+ * `laneMask` are cleared and filled; the rest are left untouched.
  */
 void scatterBlockLanes(std::span<const uint64_t> detectorWords,
                        uint64_t laneMask,

@@ -51,13 +51,13 @@ namespace qec
 {
 
 /**
- * Scratch of the 64-lane block decode path (Decoder::decodeBlock /
- * Predecoder::predecodeBlock). Used only by the block entry points
- * — serial decode()/predecode() must never touch it, which is what
- * lets decodeBlock hand `laneDefects[l]` spans to nested serial
- * decodes. `laneWords` is a dense detector -> lane-word merge
- * scratch with an all-zero invariant between uses (users re-zero
- * exactly the entries they touched, recorded in `touched`).
+ * Scratch of the 64-lane packed-input entry points
+ * (Decoder::decodeBlock / Predecoder::predecodeBlock). Serial
+ * decode()/predecode() never touch it, which is what lets the block
+ * entry points hand `laneDefects[l]` spans to nested serial calls.
+ * `laneWords` is a dense detector -> lane-word merge scratch with an
+ * all-zero invariant between uses (predecodeBlock re-zeroes exactly
+ * the entries it touched, recorded in `touched`).
  */
 struct BlockScratch
 {
@@ -67,10 +67,6 @@ struct BlockScratch
     std::vector<uint64_t> laneWords;
     /** Detectors whose laneWords entry is currently nonzero. */
     std::vector<uint32_t> touched;
-    /** Sorted union defect list of the current block. */
-    std::vector<uint32_t> unionDets;
-    /** Pipeline handoff: the block predecode outcome. */
-    BlockPredecodeResult pre;
 };
 
 /** Caller-owned scratch arena for one decode stack on one thread. */
@@ -100,7 +96,8 @@ struct DecodeWorkspace
     SparseMatchingProblem sparseProblem;
     /** Reusable sparse local-growth matcher (SparseMWPM decoder). */
     SparseMatcher sparseMatcher;
-    /** 64-lane block decode scratch (decodeBlock only). */
+    /** 64-lane packed-input scratch (decodeBlock and
+     *  predecodeBlock only). */
     BlockScratch block;
 };
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "qec/util/assert.hpp"
 
@@ -146,8 +147,12 @@ decomposeToGraphlike(const DetectorErrorModel &dem)
         }
 
         ++out.stats.compositeMechanisms;
-        QEC_ASSERT(m.dets.size() <= 16,
-                   "mechanism flips implausibly many detectors");
+        if (m.dets.size() > 16) {
+            throw DemError("mechanism flips " +
+                           std::to_string(m.dets.size()) +
+                           " detectors; at most 16 can be "
+                           "decomposed");
+        }
         std::vector<Block> blocks;
         if (partitionDets(m.dets, 0, atomic, m.obsMask,
                           /*respect_obs=*/true, blocks)) {

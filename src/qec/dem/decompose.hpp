@@ -53,7 +53,8 @@ struct GraphlikeDem
     DecomposeStats stats;
 };
 
-/** Decompose an arbitrary DEM into a graphlike one. */
+/** Decompose an arbitrary DEM into a graphlike one. Throws DemError
+ *  for a mechanism that flips more than 16 detectors. */
 GraphlikeDem decomposeToGraphlike(const DetectorErrorModel &dem);
 
 } // namespace qec

@@ -50,6 +50,13 @@ void
 DetectorErrorModel::addMechanism(std::vector<uint32_t> dets,
                                  uint64_t obs_mask, double prob)
 {
+    // Untrusted entry path (imported DEMs): recoverable throws, so
+    // one bad external model fails alone instead of aborting.
+    if (!(prob < 1.0)) {
+        throw DemError("mechanism probability " +
+                       std::to_string(prob) +
+                       " is not below 1 (or is NaN)");
+    }
     if (prob <= 0.0) {
         return;
     }
@@ -69,8 +76,6 @@ DetectorErrorModel::addMechanism(std::vector<uint32_t> dets,
     if (unique.empty() && obs_mask == 0) {
         return; // Invisible and harmless.
     }
-    // Untrusted entry path (imported DEMs): recoverable throws, so
-    // one bad external model fails alone instead of aborting.
     if (unique.empty() && obs_mask != 0) {
         throw DemError("undetectable logical error mechanism "
                        "(distance-0 circuit?)");

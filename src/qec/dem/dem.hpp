@@ -68,9 +68,10 @@ class DetectorErrorModel
      * (p = p1(1-p2) + p2(1-p1)): the symptom appears iff an odd
      * number of the underlying faults fire.
      *
-     * Throws DemError when a detector index is out of range or the
-     * mechanism is an undetectable logical error (flips observables
-     * but no detectors); p <= 0 inputs are dropped silently.
+     * Throws DemError when the probability is NaN or >= 1, a
+     * detector index is out of range, or the mechanism is an
+     * undetectable logical error (flips observables but no
+     * detectors); p <= 0 inputs are dropped silently.
      */
     void addMechanism(std::vector<uint32_t> dets, uint64_t obs_mask,
                       double prob);

@@ -4,8 +4,6 @@
 #include <array>
 
 #include "qec/sim/frame_simulator.hpp"
-#include "qec/util/assert.hpp"
-#include "qec/util/bitvec.hpp"
 #include "qec/util/parallel_for.hpp"
 
 namespace qec
@@ -47,21 +45,6 @@ estimateLer(const ExperimentContext &context, Decoder &decoder,
         static_cast<bool>(options.decodeFilter);
     std::vector<char> skipped(hasFilter ? n : 0, 0);
 
-    // Block decoding carries up to 64 consecutive samples through
-    // decodeBlock together (bit-identical per lane with the serial
-    // path, so the estimate is unchanged). Traces and filters need
-    // the per-sample path. Each worker owns a detector-major pack
-    // buffer, re-zeroed after every block via the same defect lists
-    // that set it — NOT workspace scratch, which decodeBlock
-    // clobbers while the words span is live.
-    const bool useBlocks = !hasFilter && !wantTraces;
-    std::vector<std::vector<uint64_t>> packs;
-    if (useBlocks) {
-        packs.assign(static_cast<size_t>(workers),
-                     std::vector<uint64_t>(
-                         context.graph().numDetectors(), 0));
-    }
-
     for (int k = 1; k <= options.kMax; ++k) {
         KStats stats;
         stats.k = k;
@@ -84,34 +67,6 @@ estimateLer(const ExperimentContext &context, Decoder &decoder,
                 Decoder *engine = engines.engine(worker);
                 DecodeWorkspace &workspace =
                     engines.workspace(worker);
-                if (useBlocks) {
-                    std::vector<uint64_t> &pack =
-                        packs[static_cast<size_t>(worker)];
-                    for (size_t i = begin; i < end;) {
-                        const int lanes = static_cast<int>(
-                            std::min<size_t>(64, end - i));
-                        for (int l = 0; l < lanes; ++l) {
-                            Rng rng = Rng::forSample(
-                                options.seed,
-                                static_cast<uint64_t>(k), i + l);
-                            sampler.sample(k, rng, samples[i + l]);
-                            for (uint32_t det :
-                                 samples[i + l].defects) {
-                                pack[det] |= uint64_t{1} << l;
-                            }
-                        }
-                        engine->decodeBlock(pack, lanes, workspace,
-                                            &results[i]);
-                        for (int l = 0; l < lanes; ++l) {
-                            for (uint32_t det :
-                                 samples[i + l].defects) {
-                                pack[det] = 0;
-                            }
-                        }
-                        i += static_cast<size_t>(lanes);
-                    }
-                    return;
-                }
                 for (size_t i = begin; i < end; ++i) {
                     Rng rng = Rng::forSample(
                         options.seed, static_cast<uint64_t>(k), i);

@@ -82,11 +82,9 @@ struct PredecodeResult
  * forwardedMask carry the per-lane NSM flags. Only lanes present in
  * `laneMask` (the request) hold meaningful entries.
  *
- * Bit-identity contract: for every requested lane, the per-lane
- * fields must equal what the serial `predecode()` of that lane's
- * defect list would produce, `weight` included (an exact sum of
- * integer edge weights, so its order does not matter; enforced
- * registry-wide by tests/test_block_decode.cpp).
+ * Every requested lane's fields are copied from the serial
+ * `predecode()` of that lane's defect list (checked registry-wide
+ * by tests/test_block_decode.cpp).
  */
 struct BlockPredecodeResult
 {
@@ -156,21 +154,17 @@ class Predecoder
                            PredecodeResult &result) = 0;
 
     /**
-     * Predecode all requested lanes of a 64-lane syndrome block at
-     * once (one word per detector, shot l = bit l — the
-     * FrameSimulator's BatchResult layout).
+     * Predecode all requested lanes of a 64-lane syndrome block
+     * (one word per detector, shot l = bit l — the
+     * FrameSimulator's BatchResult layout) by looping them through
+     * predecode(), so every lane's outcome is bit-identical to the
+     * serial call on that lane's defect list. Decode stacks never
+     * call it; perfbench's traced pass (perfbench/src/ler.cpp)
+     * times it per engaged lane.
      *
-     * Every requested lane's outcome must be bit-identical to the
-     * serial `predecode()` of that lane's defect list. The base
-     * implementation guarantees this by looping the lanes through
-     * the serial path; pattern-table predecoders (Pinball, Smith,
-     * Clique) override it with bit-parallel word kernels that carry
-     * all 64 lanes through the pattern logic together.
-     *
-     * Scratch contract: the call may clobber
-     * `workspace.predecodeResult` and the `workspace.block` entries
-     * of lanes in `laneMask` (the pipeline rebuilds those from the
-     * residual lists anyway); buckets of lanes outside the mask are
+     * Scratch contract: the call clobbers
+     * `workspace.predecodeResult` and the `workspace.block` buckets
+     * of lanes in `laneMask`; buckets of lanes outside the mask are
      * left untouched.
      *
      * @param detectorWords one 64-lane word per detector
@@ -180,10 +174,10 @@ class Predecoder
      * @param workspace     caller-owned scratch
      * @param result        reset and filled in place
      */
-    virtual void predecodeBlock(
-        std::span<const uint64_t> detectorWords, uint64_t laneMask,
-        long long cycle_budget, DecodeWorkspace &workspace,
-        BlockPredecodeResult &result);
+    void predecodeBlock(std::span<const uint64_t> detectorWords,
+                        uint64_t laneMask, long long cycle_budget,
+                        DecodeWorkspace &workspace,
+                        BlockPredecodeResult &result);
 
     /** Independent copy with identical configuration. */
     virtual std::unique_ptr<Predecoder> clone() const = 0;

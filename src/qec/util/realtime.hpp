@@ -12,13 +12,14 @@
  * chain (docs/static_analysis.md).
  *
  * Place QEC_REALTIME; as the first statement of every hot-path
- * entry point: Decoder::decode/decodeBlock and
- * Predecoder::predecode/predecodeBlock implementations, the
- * matching/oracle layer, SyndromeSubgraph build/refresh, the arena,
- * and the serve worker loop. The macro emits one address-
- * materializing instruction whose relocation names
- * qec_rt_root_anchor; the auditor treats any function whose body
- * relocates against that anchor as an audit root. The instruction
+ * entry point: Decoder::decode and Predecoder::predecode
+ * implementations, the packed Decoder::decodeBlock and
+ * Predecoder::predecodeBlock loops, the matching/oracle layer,
+ * SyndromeSubgraph build/refresh, the arena, and the serve worker
+ * loop. The macro emits one address-materializing instruction
+ * whose relocation names qec_rt_root_anchor; the auditor treats any
+ * function whose body relocates against that anchor as an audit
+ * root. The instruction
  * never loads or stores through the address, so the runtime cost is
  * one dead lea per call.
  *

@@ -1,7 +1,8 @@
 /**
  * @file
- * Batch-vs-serial bit-identity suite for the 64-lane block decode
- * path:
+ * Bit-identity suite for the 64-lane packed-input entry points,
+ * which scatter a detector-major block into per-lane defect lists
+ * and run the serial path on each lane:
  *
  *  - registry-wide fuzz: every registered main decoder, every
  *    predecoder stacked on astrea and mwpm, and a parallel stack,
@@ -9,12 +10,12 @@
  *    1..64 including partial tails — decodeBlock's per-lane results
  *    must be bit-identical (obs, weight, latency, abort flag) with
  *    serial decode() of each lane, with stray bits in tail lanes
- *    ignored;
- *  - per-kernel predecodeBlock equivalence: the Pinball/Smith/
- *    Clique word kernels (and the serial fallback of the others)
- *    reproduce the scalar predecode() of every lane exactly —
- *    residual lists, obs/weight (FP accumulation order included),
- *    cycles, rounds, and the NSM decodedAll/forwarded flags.
+ *    ignored. This guards scatterBlockLanes and tail-lane masking;
+ *  - predecodeBlock: for every registered predecoder, the sparse
+ *    residual columns and per-lane fields (obs/weight, cycles,
+ *    rounds, the NSM decodedAll/forwarded flags) reproduce the
+ *    serial predecode() of every lane exactly;
+ *  - scatterBlockLanes against a per-lane bit extraction.
  */
 
 #include <gtest/gtest.h>
@@ -236,7 +237,7 @@ expectPredecodeBlockMatchesSerial(const DecodingGraph &graph,
                     << label;
                 EXPECT_EQ(block_result.weight[lane],
                           serial_result.weight)
-                    << label; // exact ==: same accumulation order
+                    << label; // exact ==
                 EXPECT_EQ(block_result.cycles[lane],
                           serial_result.cycles)
                     << label;

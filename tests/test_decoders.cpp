@@ -162,8 +162,8 @@ TEST(Decoders, AstreaEqualsMwpmOnLowHwSyndromes)
 TEST(Decoders, PipelineReportsMainDecoderRealTime)
 {
     // A pipeline whose main decoder is not real-time is not
-    // real-time either, whether or not the predecoder engaged:
-    // decode() and decodeBlock() compose through the same rule.
+    // real-time either, whether or not the predecoder engaged, on
+    // decode() and on the packed decodeBlock() alike.
     const auto &ctx = ExperimentContext::get(5, 1e-3);
     auto stack = build(DecoderSpec::parse("smith+mwpm"), ctx.graph(),
                        ctx.paths());

@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "qec/dem/decompose.hpp"
@@ -72,7 +73,7 @@ TEST(Dem, DecodingGraphRejectsEdgeProbabilityOfHalfOrMore)
 {
     // addMechanism accepts these probabilities; the graph build must
     // throw, not abort, since DEMs can come from circuit text.
-    for (double p : {0.5, 0.7, std::nan("")}) {
+    for (double p : {0.5, 0.7}) {
         DetectorErrorModel dem(2, 1);
         dem.addMechanism({0, 1}, 0, p);
         const GraphlikeDem graphlike = decomposeToGraphlike(dem);
@@ -80,6 +81,29 @@ TEST(Dem, DecodingGraphRejectsEdgeProbabilityOfHalfOrMore)
         EXPECT_THROW(DecodingGraph::fromDem(graphlike), DemError)
             << p;
     }
+    // addMechanism refuses NaN; a hand-built graphlike model with a
+    // NaN edge must still be refused by the graph build.
+    GraphlikeDem graphlike;
+    graphlike.numDetectors = 2;
+    graphlike.numObservables = 1;
+    graphlike.edges.push_back({0, 1, 0, std::nan("")});
+    EXPECT_THROW(DecodingGraph::fromDem(graphlike), DemError);
+}
+
+TEST(Dem, RejectsMechanismProbabilityNanOrAtLeastOne)
+{
+    // Imported models cross the trust boundary: a probability the
+    // sampler cannot use must throw here, not abort later.
+    for (double p : {std::nan(""), 1.0, 1.5,
+                     std::numeric_limits<double>::infinity()}) {
+        DetectorErrorModel dem(2, 1);
+        EXPECT_THROW(dem.addMechanism({0, 1}, 0, p), DemError) << p;
+        EXPECT_TRUE(dem.mechanisms().empty()) << p;
+    }
+    DetectorErrorModel dem(2, 1);
+    dem.addMechanism({0, 1}, 0, 0.999);
+    ASSERT_EQ(dem.mechanisms().size(), 1u);
+    EXPECT_EQ(dem.mechanisms()[0].prob, 0.999);
 }
 
 TEST(Dem, PathTableRejectsMoreThanEightObservables)
@@ -153,6 +177,26 @@ TEST(Decompose, UsesBoundaryBlocksForOddComposites)
     const GraphlikeDem graphlike = decomposeToGraphlike(dem);
     EXPECT_EQ(graphlike.stats.compositeMechanisms, 1u);
     EXPECT_EQ(graphlike.stats.forcedPairings, 0u);
+}
+
+TEST(Decompose, RejectsMechanismWithMoreThanSixteenDetectors)
+{
+    // The split search indexes detectors by bit in a mask; a
+    // composite past 16 detectors must throw, not abort.
+    DetectorErrorModel dem(20, 1);
+    std::vector<uint32_t> dets;
+    for (uint32_t d = 0; d < 17; ++d) {
+        dets.push_back(d);
+    }
+    dem.addMechanism(dets, 0, 0.01);
+    EXPECT_THROW(decomposeToGraphlike(dem), DemError);
+
+    DetectorErrorModel sixteen(20, 1);
+    dets.pop_back();
+    sixteen.addMechanism(dets, 0, 0.01);
+    const GraphlikeDem graphlike = decomposeToGraphlike(sixteen);
+    EXPECT_EQ(graphlike.stats.compositeMechanisms, 1u);
+    EXPECT_EQ(graphlike.stats.forcedPairings, 1u);
 }
 
 class SurfaceDemTest : public ::testing::TestWithParam<int>

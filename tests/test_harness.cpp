@@ -198,35 +198,31 @@ TEST(ImportanceSampler, OccurrenceCoversTailAboveLegacyDpCap)
 TEST(ImportanceSamplerDeathTest, RejectsOutOfRangeProbabilities)
 {
     // p == 1 would divide the DP's draw weights p/(1-p) by zero
-    // (and collapse every 1-p factor); the constructor must refuse
-    // it, along with anything outside [0, 1).
-    DetectorErrorModel certain(4, 1);
-    certain.addMechanism({0}, 0, 0.01);
-    certain.addMechanism({1}, 0, 1.0);
-    EXPECT_DEATH(ImportanceSampler sampler(certain, 4),
-                 "probability must be in \\[0, 1\\)");
-
-    DetectorErrorModel overflow(4, 1);
-    overflow.addMechanism({0}, 0, 1.5);
-    EXPECT_DEATH(ImportanceSampler sampler(overflow, 4),
-                 "probability must be in \\[0, 1\\)");
+    // (and collapse every 1-p factor). The model refuses such a
+    // mechanism when it is added, with a recoverable DemError, so
+    // the sampler only ever sees probabilities in [0, 1).
+    DetectorErrorModel dem(4, 1);
+    dem.addMechanism({0}, 0, 0.01);
+    EXPECT_THROW(dem.addMechanism({1}, 0, 1.0), DemError);
+    EXPECT_THROW(dem.addMechanism({2}, 0, 1.5), DemError);
+    ASSERT_EQ(dem.mechanisms().size(), 1u);
+    ImportanceSampler sampler(dem, 4);
+    Rng rng(3);
+    EXPECT_EQ(sampler.sample(1, rng).defects,
+              std::vector<uint32_t>({0}));
 }
 
 TEST(ImportanceSamplerDeathTest, RejectsAllZeroProbModel)
 {
     // With every probability zero the conditional draw has nothing
-    // to select (the cumulative weight table is all zeros), so
-    // sample() could only spin; the constructor must refuse the
-    // model up front. addMechanism drops p <= 0 inputs, but its
-    // XOR-merge of two certain faults (1 + 1 - 2*1*1) produces a
-    // genuine zero-probability mechanism.
+    // to select, so sample() could only spin. addMechanism drops
+    // p <= 0 inputs and refuses p >= 1, so the XOR-merge of two
+    // certain faults (1 + 1 - 2*1*1 = 0) that once produced a
+    // zero-probability mechanism can no longer be built.
     DetectorErrorModel dem(4, 1);
-    dem.addMechanism({0}, 0, 1.0);
-    dem.addMechanism({0}, 0, 1.0);
-    ASSERT_EQ(dem.mechanisms().size(), 1u);
-    ASSERT_EQ(dem.mechanisms()[0].prob, 0.0);
-    EXPECT_DEATH(ImportanceSampler sampler(dem, 4),
-                 "all mechanism probabilities are zero");
+    dem.addMechanism({0}, 0, 0.0);
+    EXPECT_THROW(dem.addMechanism({0}, 0, 1.0), DemError);
+    EXPECT_TRUE(dem.mechanisms().empty());
 }
 
 TEST(ImportanceSampler, WeightsBiasTowardProbableMechanisms)

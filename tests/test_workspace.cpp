@@ -215,10 +215,9 @@ TEST(WorkspaceZeroAlloc, ExplicitWorkspaceSteadyState)
 
 TEST(WorkspaceZeroAlloc, DecodeBlockSteadyState)
 {
-    // The 64-lane block path must also run allocation-free once
-    // warm: scatter, predecodeBlock word kernels, the shared union
-    // gather, and the per-lane compose all draw from workspace- or
-    // arena-owned scratch.
+    // The 64-lane packed entry point must also run allocation-free
+    // once warm: the lane scatter fills workspace-owned buckets and
+    // every lane then runs the serial decode().
     const auto &ctx = ExperimentContext::get(7, 1e-3);
     const PathTable deferred(ctx.graph(), PathTable::DeferPairs{});
     const auto batch = syndromeSet(ctx);
@@ -236,10 +235,7 @@ TEST(WorkspaceZeroAlloc, DecodeBlockSteadyState)
         DecodeWorkspace workspace;
         DecodeResult results[64];
         // Warmup. More than one pass: the arena coalesces overflow
-        // chunks on the reset *after* the cycle that overflowed, so
-        // a block path whose first call multi-chunks needs a second
-        // cycle to converge (serial decodes get 71 cycles per pass
-        // here; a block call is a single cycle).
+        // chunks on the reset *after* the cycle that overflowed.
         for (int pass = 0; pass < 3; ++pass) {
             decoder->decodeBlock(words, static_cast<int>(lanes),
                                  workspace, results);
