@@ -26,6 +26,12 @@ DecodingGraph
 DecodingGraph::fromDem(const GraphlikeDem &dem,
                        std::vector<DetectorCoord> coords)
 {
+    // Checked before anything is sized by the detector count.
+    if (dem.numDetectors >= (uint32_t{1} << 24)) {
+        throw DemError(std::to_string(dem.numDetectors) +
+                       " detectors: path labels count hops in 24 "
+                       "bits");
+    }
     DecodingGraph graph;
     graph.numDetectors_ = dem.numDetectors;
     graph.numObservables_ = dem.numObservables;
@@ -124,7 +130,6 @@ DecodingGraph::fromDem(const GraphlikeDem &dem,
     }
     graph.adjEdgeIds_.resize(graph.adjOffsets_[n]);
     graph.pairHalfEdges_.resize(graph.pairOffsets_[n]);
-    graph.pairWeights_.resize(graph.pairOffsets_[n]);
     std::vector<uint32_t> adjFill(graph.adjOffsets_.begin(),
                                   graph.adjOffsets_.end() - 1);
     std::vector<uint32_t> pairFill(graph.pairOffsets_.begin(),
@@ -133,14 +138,12 @@ DecodingGraph::fromDem(const GraphlikeDem &dem,
         graph.adjEdgeIds_[adjFill[edge.u]++] = edge.id;
         if (edge.v != kBoundary) {
             graph.adjEdgeIds_[adjFill[edge.v]++] = edge.id;
-            graph.pairWeights_[pairFill[edge.u]] =
-                graph.edgeWeight_[edge.id];
-            graph.pairHalfEdges_[pairFill[edge.u]++] = {edge.v,
-                                                        edge.id};
-            graph.pairWeights_[pairFill[edge.v]] =
-                graph.edgeWeight_[edge.id];
-            graph.pairHalfEdges_[pairFill[edge.v]++] = {edge.u,
-                                                        edge.id};
+            const uint32_t weight = graph.edgeWeight_[edge.id];
+            const auto obs = static_cast<uint8_t>(edge.obsMask);
+            graph.pairHalfEdges_[pairFill[edge.u]++] = {
+                edge.v, edge.id, weight, obs};
+            graph.pairHalfEdges_[pairFill[edge.v]++] = {
+                edge.u, edge.id, weight, obs};
         }
     }
     return graph;

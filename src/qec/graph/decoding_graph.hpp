@@ -13,9 +13,10 @@
  * CSR — one offsets array plus one flat edge-id array — instead of a
  * vector-of-vectors, and the edge fields consulted by the decode
  * inner loops (weight, observable mask, endpoints) are additionally
- * split into SoA arrays. pairWeights() copies the weights next to
- * the pair-edge CSR once, so the shortest-path searches read them
- * without chasing edge ids.
+ * split into SoA arrays. The pair-edge CSR's 16-byte records carry
+ * each edge's weight and observable bits next to the neighbour, so a
+ * shortest-path relaxation reads one record and chases no edge id;
+ * every search and oracle shares this one copy.
  */
 
 #ifndef QEC_GRAPH_DECODING_GRAPH_HPP
@@ -43,12 +44,18 @@ struct GraphEdge
     uint64_t obsMask = 0;   //!< Observables crossed by this edge.
 };
 
-/** One entry of the pair-edge CSR: in-graph neighbor + edge id. */
+/** One entry of the pair-edge CSR: in-graph neighbor, edge id and
+ *  the two edge fields a shortest-path relaxation reads. */
 struct PairHalfEdge
 {
     uint32_t neighbor = 0; //!< The detector across the edge.
     uint32_t edgeId = 0;   //!< Position in edges().
+    uint32_t weight = 0;   //!< edgeWeight(edgeId).
+    uint8_t obs = 0;       //!< Low 8 bits of edgeObsMask(edgeId).
 };
+
+static_assert(sizeof(PairHalfEdge) == 16,
+              "four pair-edge records per cache line");
 
 /** Weighted detector graph with a virtual boundary node. */
 class DecodingGraph
@@ -60,10 +67,11 @@ class DecodingGraph
      * (with XOR-combined probability); the number of such conflicts
      * is reported by obsConflicts().
      *
-     * Throws DemError when a merged edge probability lies outside
-     * (0, 0.5) or is NaN, or when the longest possible path (V
-     * edges of the largest weight) would not fit in a 32-bit
-     * PathCell distance.
+     * Throws DemError when the DEM has 2^24 or more detectors (a
+     * PathLabel packs hop counts into 24 bits), when a merged edge
+     * probability lies outside (0, 0.5) or is NaN, or when the
+     * longest possible path (V edges of the largest weight) would
+     * not fit in a 32-bit PathCell distance.
      *
      * @param coords optional space-time coordinates per detector
      *               (from MemoryExperiment), used by predecoder
@@ -89,22 +97,15 @@ class DecodingGraph
     /**
      * Detector-detector half-edges of a detector (boundary edges
      * excluded), in the same relative order as adjacentEdges(). The
-     * hot subgraph construction walks these 8-byte records instead
-     * of chasing edge ids into the 40-byte GraphEdge AoS.
+     * shortest-path searches and the hot subgraph construction walk
+     * these 16-byte records instead of chasing edge ids into the
+     * 40-byte GraphEdge AoS.
      */
     std::span<const PairHalfEdge>
     pairNeighbors(uint32_t det) const
     {
         return {pairHalfEdges_.data() + pairOffsets_[det],
                 pairHalfEdges_.data() + pairOffsets_[det + 1]};
-    }
-
-    /** Weights of pairNeighbors(det), index for index. */
-    std::span<const uint32_t>
-    pairWeights(uint32_t det) const
-    {
-        return {pairWeights_.data() + pairOffsets_[det],
-                pairWeights_.data() + pairOffsets_[det + 1]};
     }
 
     /** Largest edge weight, boundary edges included (0 when the
@@ -146,7 +147,6 @@ class DecodingGraph
     // Pair-edge CSR (boundary edges filtered out at construction).
     std::vector<uint32_t> pairOffsets_;
     std::vector<PairHalfEdge> pairHalfEdges_;
-    std::vector<uint32_t> pairWeights_; //!< Parallel to pairHalfEdges_.
     Weight maxEdgeWeight_ = 0;
     // SoA hot fields, parallel to edges_.
     std::vector<uint32_t> edgeWeight_;

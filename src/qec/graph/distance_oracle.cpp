@@ -1,6 +1,5 @@
 #include "qec/graph/distance_oracle.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "qec/util/assert.hpp"
@@ -24,37 +23,12 @@ DistanceOracle::bind(const DecodingGraph &graph)
     }
     graph_ = &graph;
     n_ = graph.numDetectors();
-    epoch_ = 0;
-    rt::assignFill(labels_, n_, Stamped{PathLabel{}, 0});
-    rt::assignFill(targetStamp_, n_, uint32_t{0});
-    rt::resizeTo(targetSlot_, n_);
+    rt::assignFill(labels_, n_, PathLabel{});
+    rt::assignFill(targetSlot_, n_, uint32_t{kNoEntry});
     rt::assignFill(head_, slots, uint32_t{kNoEntry});
     rt::assignFill(occupied_, (slots + 63) / 64, uint64_t{0});
     pool_.clear();
     queued_ = 0;
-}
-
-void
-DistanceOracle::nextEpoch()
-{
-    if (++epoch_ == 0) {
-        // Stamp wraparound: invalidate everything the hard way.
-        for (Stamped &entry : labels_) {
-            entry.stamp = 0;
-        }
-        std::fill(targetStamp_.begin(), targetStamp_.end(), 0);
-        epoch_ = 1;
-    }
-}
-
-inline PathLabel &
-DistanceOracle::labelOf(uint32_t node)
-{
-    Stamped &entry = labels_[node];
-    if (entry.stamp != epoch_) {
-        entry = Stamped{PathLabel{}, epoch_};
-    }
-    return entry.label;
 }
 
 inline void
@@ -106,12 +80,10 @@ DistanceOracle::grow(uint32_t src, std::span<const uint32_t> targets,
     QEC_ASSERT(graph_ != nullptr, "DistanceOracle is not bound");
     QEC_ASSERT(bounds.size() == targets.size(),
                "one bound per target");
-    nextEpoch();
     size_t remaining = targets.size();
     rt::resizeTo(byBound_, targets.size());
     for (size_t k = 0; k < targets.size(); ++k) {
         out[k] = PathCell{};
-        targetStamp_[targets[k]] = epoch_;
         targetSlot_[targets[k]] = static_cast<uint32_t>(k);
         // Insertion sort by descending bound: target lists are a
         // few dozen entries at most.
@@ -124,8 +96,12 @@ DistanceOracle::grow(uint32_t src, std::span<const uint32_t> targets,
     }
     size_t widest = 0; //!< First unsettled entry of byBound_.
 
-    // Empty the ring of the last query's leftovers (a truncated
-    // search stops with nodes still queued).
+    // Reset the labels the last query lowered and empty the ring of
+    // its leftovers (a truncated search stops with nodes still
+    // queued); the pool lists every node that query queued.
+    for (const Entry &entry : pool_) {
+        labels_[entry.node] = PathLabel{};
+    }
     for (size_t word = 0; word < occupied_.size(); ++word) {
         for (uint64_t bits = occupied_[word]; bits != 0;
              bits &= bits - 1) {
@@ -136,32 +112,33 @@ DistanceOracle::grow(uint32_t src, std::span<const uint32_t> targets,
     pool_.clear();
     queued_ = 0;
     curDist_ = 0;
-    labelOf(src) = PathLabel{0, 0, 0};
+    labels_[src] = PathLabel::of(0, 0, 0);
     push(0, src);
 
     // A target is settled exactly when its out cell is finite.
     uint32_t u = 0;
     while (remaining > 0 && pop(u)) {
-        const PathLabel lu = labels_[u].label;
-        if (lu.dist != curDist_) {
+        const PathLabel lu = labels_[u];
+        if (lu.dist() != curDist_) {
             continue; // Stale: u was queued again closer.
         }
         while (out[byBound_[widest]].dist != kNoPath) {
             ++widest; // Stops: some target is still unsettled.
         }
-        if (lu.dist > bounds[byBound_[widest]]) {
+        if (lu.dist() > bounds[byBound_[widest]]) {
             break; // Past every unsettled target's bound.
         }
-        if (targetStamp_[u] == epoch_) {
+        if (targetSlot_[u] != kNoEntry) {
             out[targetSlot_[u]] = lu.cell();
             --remaining;
         }
         relaxPairEdges(
             *graph_, u, lu,
-            [this](uint32_t v) -> PathLabel & { return labelOf(v); },
-            [this](uint32_t v) {
-                push(labels_[v].label.dist, v);
-            });
+            [this](uint32_t v) -> PathLabel & { return labels_[v]; },
+            [this](uint32_t v) { push(labels_[v].dist(), v); });
+    }
+    for (const uint32_t target : targets) {
+        targetSlot_[target] = kNoEntry;
     }
 }
 

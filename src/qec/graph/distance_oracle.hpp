@@ -34,11 +34,18 @@
  * exceeds the largest bound among the targets not yet settled; every
  * such target then lies beyond its own bound.
  *
- * Memory contract: all scratch is epoch-stamped and reused, so a
- * warm oracle performs zero heap allocations per query (the
- * DecodeWorkspace property); the entry pool keeps its high-water
- * capacity. One oracle must not be shared between threads; the
- * graph data it reads is immutable.
+ * Memory contract: the oracle keeps one 8-byte PathLabel and one
+ * target slot per detector, and every query leaves them as it found
+ * them, so no query needs an O(V) clear. Every label a query lowers
+ * belongs to a node it queued (an equal-distance improvement only
+ * happens to a node already queued at that distance), so the next
+ * grow resets exactly the nodes listed in the entry pool; grow
+ * clears the target slots it set before it returns. All scratch is
+ * reused, so a warm oracle performs zero heap allocations per query
+ * (the DecodeWorkspace property); the entry pool keeps its
+ * high-water capacity. One oracle must not be shared between
+ * threads; the graph data it reads, pair-edge records included, is
+ * immutable and shared.
  */
 
 #ifndef QEC_GRAPH_DISTANCE_ORACLE_HPP
@@ -84,25 +91,17 @@ class DistanceOracle
               std::span<const Weight> bounds, PathCell *out);
 
   private:
-    void nextEpoch();
-    PathLabel &labelOf(uint32_t node);
     void push(uint32_t dist, uint32_t node);
     bool pop(uint32_t &node);
 
+    /** Empty slot of targetSlot_ and head_. */
+    static constexpr uint32_t kNoEntry = ~uint32_t{0};
+
     const DecodingGraph *graph_ = nullptr;
     uint32_t n_ = 0;
-    uint32_t epoch_ = 0;
-    /** Label of one node, valid only where stamp equals epoch_ (so
-     *  a new query needs no O(V) clear); 16 bytes, so a relaxation
-     *  touches one cache line. */
-    struct Stamped
-    {
-        PathLabel label;
-        uint32_t stamp;
-    };
-    std::vector<Stamped> labels_;
-    // Stamped target membership: slot into `out` per detector.
-    std::vector<uint32_t> targetStamp_;
+    /** Label per node; unreachable outside a query (file comment). */
+    std::vector<PathLabel> labels_;
+    /** Slot into `out` per detector; kNoEntry outside a query. */
     std::vector<uint32_t> targetSlot_;
     // Target slots by descending bound: the stop test reads the
     // first unsettled one.
@@ -110,7 +109,6 @@ class DistanceOracle
     // Dial ring: head_[dist & (head_.size() - 1)] starts the list of
     // the nodes queued at dist (kNoEntry when empty), chained through
     // pool_; bit s of occupied_ is set while slot s is non-empty.
-    static constexpr uint32_t kNoEntry = ~uint32_t{0};
     struct Entry
     {
         uint32_t node;

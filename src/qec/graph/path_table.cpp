@@ -33,20 +33,20 @@ settleAll(const DecodingGraph &graph, std::vector<PathLabel> &labels)
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>>
         heap;
     for (uint32_t v = 0; v < labels.size(); ++v) {
-        if (labels[v].dist != kNoPath) {
-            heap.push({labels[v].dist, v});
+        if (labels[v].dist() != kNoPath) {
+            heap.push({labels[v].dist(), v});
         }
     }
     while (!heap.empty()) {
         const auto [du, u] = heap.top();
         heap.pop();
-        if (du != labels[u].dist) {
+        if (du != labels[u].dist()) {
             continue; // Stale: u was queued again closer.
         }
         relaxPairEdges(
-            graph, u, PathLabel{labels[u]},
+            graph, u, labels[u],
             [&](uint32_t v) -> PathLabel & { return labels[v]; },
-            [&](uint32_t v) { heap.push({labels[v].dist, v}); });
+            [&](uint32_t v) { heap.push({labels[v].dist(), v}); });
     }
 }
 
@@ -56,7 +56,7 @@ settleFrom(const DecodingGraph &graph, uint32_t src,
            std::vector<PathLabel> &labels)
 {
     labels.assign(graph.numDetectors(), PathLabel{});
-    labels[src] = PathLabel{0, 0, 0};
+    labels[src] = PathLabel::of(0, 0, 0);
     settleAll(graph, labels);
 }
 
@@ -96,9 +96,9 @@ PathTable::buildBoundary()
     for (uint32_t det = 0; det < n; ++det) {
         const int eid = graph.boundaryEdge(det);
         if (eid >= 0) {
-            labels[det] = PathLabel{
+            labels[det] = PathLabel::of(
                 static_cast<uint32_t>(graph.edgeWeight(eid)), 1,
-                static_cast<uint8_t>(graph.edgeObsMask(eid))};
+                static_cast<uint8_t>(graph.edgeObsMask(eid)));
         }
     }
     settleAll(graph, labels);
@@ -130,14 +130,14 @@ PathTable::buildLandmarks()
     std::vector<PathLabel> labels;
     settleFrom(*graph_, 0, labels);
     uint32_t next =
-        argmax([&](uint32_t v) { return labels[v].dist; });
+        argmax([&](uint32_t v) { return labels[v].dist(); });
     std::vector<uint32_t> nearest(n, kNoPath);
     for (int l = 0; l < numLandmarks_; ++l) {
         settleFrom(*graph_, next, labels);
         for (uint32_t v = 0; v < n; ++v) {
             landmarks_[static_cast<size_t>(v) * numLandmarks_ + l] =
-                labels[v].dist;
-            nearest[v] = std::min(nearest[v], labels[v].dist);
+                labels[v].dist();
+            nearest[v] = std::min(nearest[v], labels[v].dist());
         }
         next = argmax([&](uint32_t v) { return nearest[v]; });
     }

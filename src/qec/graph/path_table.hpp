@@ -24,9 +24,13 @@
  * rows, boundary column and landmark columns, and DistanceOracle —
  * relaxes with relaxPairEdges(): a node's label (dist, hops, obs)
  * improves only to a lexicographically smaller one, and each node
- * settles once. Because every weight is at least one unit, every
- * predecessor that can set a node's final label has a strictly
- * smaller distance and is settled before the node is, so the final
+ * settles once. A PathLabel packs the three fields into one 64-bit
+ * key (dist high, hops in 24 bits, obs in the low byte), so the rule
+ * is one integer compare, and extending a label over a pair-edge
+ * record is one shift, one add and one xor. Because every weight is
+ * at least one unit, every predecessor that can set a node's final
+ * label has a strictly smaller distance and is settled before the
+ * node is, so the final
  * label is the lexicographic minimum over its neighbours' final
  * labels: it depends on the graph alone, not on the order in which
  * nodes of equal distance are popped. This table pops a binary heap
@@ -62,7 +66,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "qec/graph/decoding_graph.hpp"
@@ -83,55 +86,70 @@ struct PathCell
 static_assert(sizeof(PathCell) == 8,
               "PathCell must stay one half cache line per 8 pairs");
 
-/** Tentative label of one node in a shortest-path search. */
+/**
+ * Tentative label of one node in a shortest-path search, packed into
+ * one integer key: dist in bits 32..63, hops in bits 8..31, obs in
+ * bits 0..7. Comparing keys is the lexicographic (dist, hops, obs)
+ * rule; fromDem keeps hops below 2^24 and dist below kNoPath on
+ * every path, so no field carries into the next. A default label is
+ * unreachable.
+ */
 struct PathLabel
 {
-    uint32_t dist = kNoPath;
-    uint32_t hops = 0;
-    uint8_t obs = 0;
+    uint64_t key = uint64_t{kNoPath} << 32;
 
-    /** The one tie-break rule: lexicographic (dist, hops, obs). */
-    bool
-    operator<(const PathLabel &other) const
+    static constexpr PathLabel
+    of(uint32_t dist, uint32_t hops, uint8_t obs)
     {
-        return std::tie(dist, hops, obs) <
-               std::tie(other.dist, other.hops, other.obs);
+        return {uint64_t{dist} << 32 | uint64_t{hops} << 8 | obs};
+    }
+
+    uint32_t dist() const { return static_cast<uint32_t>(key >> 32); }
+    uint32_t hops() const
+    {
+        return static_cast<uint32_t>(key >> 8) & 0xFFFFFF;
+    }
+    uint8_t obs() const { return static_cast<uint8_t>(key); }
+
+    /** The one tie-break rule (file comment). */
+    bool operator<(const PathLabel &other) const
+    {
+        return key < other.key;
     }
 
     PathCell
     cell() const
     {
-        return {dist, obs,
-                static_cast<uint8_t>(std::min<uint32_t>(hops, 255))};
+        return {dist(), obs(),
+                static_cast<uint8_t>(std::min<uint32_t>(hops(), 255))};
     }
 };
 
 /**
  * Relax the pair edges of the settled node u (label lu): each
  * neighbour v's label, reached through labelOf(v), takes the
- * extension of lu when that is lexicographically smaller, and
- * queue(v) runs when v's distance dropped (an equal-distance
- * improvement keeps v's queue entry). Boundary edges are never
- * intermediate hops. The shared rule of every search (file comment).
+ * extension of lu when its key is smaller, and queue(v) runs when
+ * v's distance dropped (an equal-distance improvement keeps v's
+ * queue entry). Boundary edges are never intermediate hops. The
+ * shared rule of every search (file comment).
  */
 template <class LabelOf, class Queue>
 inline void
-relaxPairEdges(const DecodingGraph &graph, uint32_t u,
-               const PathLabel &lu, LabelOf &&labelOf, Queue &&queue)
+relaxPairEdges(const DecodingGraph &graph, uint32_t u, PathLabel lu,
+               LabelOf &&labelOf, Queue &&queue)
 {
-    const std::span<const PairHalfEdge> half = graph.pairNeighbors(u);
-    const std::span<const uint32_t> weight = graph.pairWeights(u);
-    for (size_t e = 0; e < half.size(); ++e) {
+    // lu one hop further; each edge adds its weight and flips its
+    // observable bits.
+    const uint64_t oneHop = lu.key + (uint64_t{1} << 8);
+    for (const PairHalfEdge &half : graph.pairNeighbors(u)) {
         const PathLabel next{
-            lu.dist + weight[e], lu.hops + 1,
-            static_cast<uint8_t>(
-                lu.obs ^ graph.edgeObsMask(half[e].edgeId))};
-        PathLabel &lv = labelOf(half[e].neighbor);
+            (oneHop + (uint64_t{half.weight} << 32)) ^ half.obs};
+        PathLabel &lv = labelOf(half.neighbor);
         if (next < lv) {
-            const bool closer = next.dist < lv.dist;
+            const bool closer = next.dist() < lv.dist();
             lv = next;
             if (closer) {
-                queue(half[e].neighbor);
+                queue(half.neighbor);
             }
         }
     }

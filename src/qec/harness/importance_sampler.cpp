@@ -1,31 +1,52 @@
 #include "qec/harness/importance_sampler.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "qec/util/assert.hpp"
 
 namespace qec
 {
 
+namespace
+{
+
+/** k_max, once the constructor's inputs are known to be usable
+ *  (checked before anything is sized by k_max). */
+int
+checkedKMax(const DetectorErrorModel &dem, int k_max)
+{
+    if (dem.mechanisms().empty()) {
+        throw DemError("empty detector error model: no mechanism "
+                       "can fire");
+    }
+    if (k_max < 1) {
+        throw std::invalid_argument("k_max must be at least 1, got " +
+                                    std::to_string(k_max));
+    }
+    return k_max;
+}
+
+} // namespace
+
 ImportanceSampler::ImportanceSampler(const DetectorErrorModel &dem,
                                      int k_max)
-    : dem_(dem), kMax_(k_max), po(k_max + 1, 0.0)
+    : dem_(dem), kMax_(checkedKMax(dem, k_max)),
+      po(static_cast<size_t>(kMax_) + 1, 0.0)
 {
     const auto &mechanisms = dem.mechanisms();
-    QEC_ASSERT(!mechanisms.empty(), "empty detector error model");
-    QEC_ASSERT(k_max >= 1, "k_max must be positive");
     // Probabilities must lie in [0, 1): p == 1 breaks both the DP
     // (the 1-p factors collapse) and the p/(1-p) draw weights below,
     // and negative or >1 values are corrupt input. At least one
     // mechanism must be able to fire, or conditional sampling has
     // nothing to draw from.
-    bool any_positive = false;
     for (const DemMechanism &m : mechanisms) {
         QEC_ASSERT(m.prob >= 0.0 && m.prob < 1.0,
                    "mechanism probability must be in [0, 1)");
-        any_positive = any_positive || m.prob > 0.0;
+        positive_ += m.prob > 0.0 ? 1 : 0;
     }
-    QEC_ASSERT(any_positive,
+    QEC_ASSERT(positive_ > 0,
                "all mechanism probabilities are zero");
 
     // Exact Poisson-binomial DP over the fault count, truncated at
@@ -61,6 +82,11 @@ void
 ImportanceSampler::sample(int k, Rng &rng, Sample &out) const
 {
     QEC_ASSERT(k >= 1 && k <= kMax_, "k out of range");
+    // k distinct draws need k mechanisms that can fire; past that the
+    // rejection loop below could only spin.
+    QEC_ASSERT(static_cast<size_t>(k) <= positive_,
+               "k exceeds the number of positive-probability "
+               "mechanisms");
     const auto &mechanisms = dem_.mechanisms();
     const double total = cumulative.back();
     out.obsMask = 0;

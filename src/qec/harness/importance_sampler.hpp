@@ -40,10 +40,14 @@ class ImportanceSampler
      *              injections act on physical mechanisms so that
      *              correlated multi-detector faults stay correlated
      * @param k_max highest injection count (24 in the paper)
+     *
+     * Throws DemError when the model has no mechanism and
+     * std::invalid_argument when k_max < 1.
      */
     ImportanceSampler(const DetectorErrorModel &dem, int k_max = 24);
 
-    /** Exact P(number of firing mechanisms == k). */
+    /** Exact P(number of firing mechanisms == k); exactly 0 for k
+     *  above the number of mechanisms. */
     double occurrenceProb(int k) const { return po[k]; }
 
     int kMax() const { return kMax_; }
@@ -64,7 +68,9 @@ class ImportanceSampler
         std::vector<uint32_t> chosen;
     };
 
-    /** Draw a conditional sample with exactly k faults. */
+    /** Draw a conditional sample with exactly k faults; requires
+     *  1 <= k <= kMax() and k at most the number of mechanisms with
+     *  nonzero probability. */
     Sample sample(int k, Rng &rng) const;
 
     /**
@@ -79,6 +85,7 @@ class ImportanceSampler
   private:
     const DetectorErrorModel &dem_;
     int kMax_;
+    size_t positive_ = 0; //!< Mechanisms with nonzero probability.
     double lambda = 0.0;
     std::vector<double> po;
     /** Prefix sums of p/(1-p) weights for weighted mechanism draws. */

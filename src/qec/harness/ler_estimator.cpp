@@ -49,8 +49,10 @@ estimateLer(const ExperimentContext &context, Decoder &decoder,
         KStats stats;
         stats.k = k;
         stats.occurrence = sampler.occurrenceProb(k);
-        if (k < options.skipBelowK) {
-            // Provably below the failure threshold: P_f(k) = 0.
+        if (k < options.skipBelowK || stats.occurrence == 0.0) {
+            // Provably below the failure threshold (P_f(k) = 0), or k
+            // faults cannot occur (P_o(k) = 0, e.g. k above the
+            // number of mechanisms): nothing to sample.
             estimate.perK.push_back(stats);
             continue;
         }

@@ -26,7 +26,10 @@ namespace qec
 /** Options for the importance-sampled estimator. */
 struct LerOptions
 {
-    int kMax = 24;              //!< Up to 24 injections (paper).
+    /** Up to 24 injections (paper). A k with P_o(k) exactly 0 (e.g.
+     *  above the number of mechanisms) is recorded with zero
+     *  samples and never sampled. */
+    int kMax = 24;
     uint64_t samplesPerK = 2000; //!< Conditional samples per k.
     uint64_t seed = 0x51ab5eed;
     /**

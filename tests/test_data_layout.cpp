@@ -2,11 +2,12 @@
  * @file
  * Tests for the cache-compact decode-core data layout:
  *
- *  - CSR adjacency (and the pair-edge half-edge CSR) match a
+ *  - CSR adjacency (and the pair-edge half-edge CSR, whose records
+ *    copy each edge's weight and 8-bit observable mask) match a
  *    reference adjacency reconstructed from the edge list, on
  *    random DEMs and on surface-code graphs;
  *  - the SoA hot fields (weight/obs/endpoints) are bit-copies of
- *    the GraphEdge AoS (weight narrowed to float);
+ *    the GraphEdge AoS;
  *  - DistanceView gathers are bit-copies of direct PathTable reads,
  *    and subsetMap resolves residual subsets without regathering;
  *  - PathTable symmetry invariants: dist(a,b) == dist(b,a) (up to
@@ -97,7 +98,8 @@ expectCsrMatchesReference(const DecodingGraph &graph)
         }
         // The pair CSR is the same row with boundary edges
         // filtered, preserving order, with matching neighbors and
-        // copied weights.
+        // the weight and (8-bit) observable mask copied into the
+        // record.
         size_t p = 0;
         for (uint32_t eid : row) {
             const GraphEdge &edge = graph.edges()[eid];
@@ -109,7 +111,9 @@ expectCsrMatchesReference(const DecodingGraph &graph)
             EXPECT_EQ(half.edgeId, eid);
             EXPECT_EQ(half.neighbor,
                       edge.u == det ? edge.v : edge.u);
-            EXPECT_EQ(graph.pairWeights(det)[p], edge.weight);
+            EXPECT_EQ(half.weight, edge.weight);
+            EXPECT_EQ(half.weight, graph.edgeWeight(eid));
+            EXPECT_EQ(half.obs, edge.obsMask & 0xFF);
             EXPECT_LE(edge.weight, graph.maxEdgeWeight());
             ++p;
         }

@@ -138,6 +138,20 @@ TEST(Dem, DecodingGraphRejectsPathsThatOverflowDistances)
               std::llround(std::log(1e300) / kWeightUnit));
 }
 
+TEST(Dem, DecodingGraphRejectsTwoToTheTwentyFourDetectors)
+{
+    // Path labels count hops in 24 bits. The check runs before any
+    // per-detector array is sized, so these cost no memory.
+    GraphlikeDem dem;
+    dem.numObservables = 1;
+    dem.edges.push_back({0, 1, 0, 0.01});
+    for (const uint32_t n : {uint32_t{1} << 24, (uint32_t{1} << 24) + 1,
+                             ~uint32_t{0}}) {
+        dem.numDetectors = n;
+        EXPECT_THROW(DecodingGraph::fromDem(dem), DemError) << n;
+    }
+}
+
 TEST(Decompose, PassesThroughGraphlikeMechanisms)
 {
     DetectorErrorModel dem(6, 1);

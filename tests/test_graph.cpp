@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <tuple>
+#include <vector>
 
 #include "qec/graph/decoding_graph.hpp"
 #include "qec/graph/path_table.hpp"
@@ -76,6 +79,59 @@ TEST(DecodingGraph, MergesParallelEdgesKeepingDominantObs)
     EXPECT_NEAR(graph.edges()[0].prob,
                 0.2 * 0.99 + 0.01 * 0.8, 1e-12);
     EXPECT_EQ(graph.obsConflicts(), 1u);
+}
+
+TEST(PathTable, LabelKeyOrderIsLexicographicDistHopsObs)
+{
+    // The packed key must order labels exactly as the tuple
+    // (dist, hops, obs) over every field's full range.
+    const uint32_t dists[] = {0, 1, kNoPath - 1, kNoPath};
+    const uint32_t hops[] = {0, 1, 255, 256, (1u << 24) - 1};
+    struct Fields
+    {
+        uint32_t dist, hops;
+        uint8_t obs;
+    };
+    std::vector<Fields> fields;
+    std::vector<PathLabel> labels;
+    for (const uint32_t d : dists) {
+        for (const uint32_t h : hops) {
+            for (int o = 0; o < 256; ++o) {
+                const auto obs = static_cast<uint8_t>(o);
+                fields.push_back({d, h, obs});
+                labels.push_back(PathLabel::of(d, h, obs));
+                const PathLabel &label = labels.back();
+                ASSERT_EQ(label.dist(), d);
+                ASSERT_EQ(label.hops(), h);
+                ASSERT_EQ(label.obs(), obs);
+            }
+        }
+    }
+    size_t mismatches = 0;
+    for (size_t a = 0; a < labels.size(); ++a) {
+        for (size_t b = 0; b < labels.size(); ++b) {
+            const bool tuple =
+                std::tie(fields[a].dist, fields[a].hops, fields[a].obs) <
+                std::tie(fields[b].dist, fields[b].hops, fields[b].obs);
+            mismatches += (labels[a] < labels[b]) != tuple;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    // The default label is the unreachable one.
+    EXPECT_EQ(PathLabel{}.key, PathLabel::of(kNoPath, 0, 0).key);
+}
+
+TEST(PathTable, LabelCellSaturatesHopsAt255)
+{
+    for (const uint32_t h : {0u, 1u, 254u, 255u, 256u, (1u << 24) - 1}) {
+        const PathCell cell = PathLabel::of(kNoPath - 1, h, 0xA5).cell();
+        EXPECT_EQ(cell.dist, kNoPath - 1);
+        EXPECT_EQ(cell.obs, 0xA5);
+        EXPECT_EQ(cell.hops, std::min<uint32_t>(h, 255)) << h;
+    }
+    const PathCell unreachable = PathLabel{}.cell();
+    EXPECT_EQ(unreachable.dist, kNoPath);
+    EXPECT_EQ(unreachable.obs, 0);
 }
 
 TEST(PathTable, ShortestPathsAvoidHeavyEdge)

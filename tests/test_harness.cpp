@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
+#include "qec/decoders/sparse_mwpm.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/histogram.hpp"
 #include "qec/harness/importance_sampler.hpp"
+#include "qec/harness/ler_estimator.hpp"
 #include "qec/harness/report.hpp"
 #include "qec/hwmodel/resources.hpp"
 #include "qec/util/rng.hpp"
@@ -223,6 +226,75 @@ TEST(ImportanceSamplerDeathTest, RejectsAllZeroProbModel)
     dem.addMechanism({0}, 0, 0.0);
     EXPECT_THROW(dem.addMechanism({0}, 0, 1.0), DemError);
     EXPECT_TRUE(dem.mechanisms().empty());
+}
+
+TEST(ImportanceSampler, RejectsEmptyModelAndNonPositiveKMax)
+{
+    // Both are caller errors on an untrusted path (imported models,
+    // user options): typed throws, not aborts.
+    DetectorErrorModel empty(4, 1);
+    empty.addMechanism({0}, 0, 0.0); // Dropped: cannot fire.
+    ASSERT_TRUE(empty.mechanisms().empty());
+    EXPECT_THROW(ImportanceSampler(empty, 4), DemError);
+
+    DetectorErrorModel dem(4, 1);
+    dem.addMechanism({0}, 0, 0.01);
+    EXPECT_THROW(ImportanceSampler(dem, 0), std::invalid_argument);
+    EXPECT_THROW(ImportanceSampler(dem, -3), std::invalid_argument);
+    EXPECT_NO_THROW(ImportanceSampler(dem, 1));
+}
+
+TEST(ImportanceSampler, OccurrenceIsExactlyZeroAboveMechanismCount)
+{
+    DetectorErrorModel dem(4, 1);
+    dem.addMechanism({0}, 0, 0.01);
+    dem.addMechanism({1}, 0, 0.02);
+    dem.addMechanism({2, 3}, 0, 0.03);
+    const ImportanceSampler sampler(dem, 6);
+    EXPECT_GT(sampler.occurrenceProb(3), 0.0);
+    for (int k = 4; k <= 6; ++k) {
+        EXPECT_EQ(sampler.occurrenceProb(k), 0.0) << "k=" << k;
+    }
+    Rng rng(11);
+    EXPECT_EQ(sampler.sample(3, rng).defects,
+              std::vector<uint32_t>({0, 1, 2, 3}));
+}
+
+TEST(ImportanceSamplerDeathTest, SampleRejectsMoreFaultsThanMechanisms)
+{
+    // Four distinct draws from three mechanisms cannot succeed; the
+    // check fires before the rejection loop starts spinning.
+    DetectorErrorModel dem(4, 1);
+    dem.addMechanism({0}, 0, 0.01);
+    dem.addMechanism({1}, 0, 0.02);
+    dem.addMechanism({2}, 0, 0.03);
+    const ImportanceSampler sampler(dem, 4);
+    Rng rng(12);
+    EXPECT_DEATH(sampler.sample(4, rng),
+                 "exceeds the number of positive-probability");
+}
+
+TEST(Harness, EstimateLerSkipsFaultCountsThatCannotOccur)
+{
+    // k = M + 1 faults out of M mechanisms has P_o(k) = 0 exactly:
+    // estimateLer records it with zero samples instead of asking the
+    // sampler for more distinct mechanisms than exist.
+    const auto &ctx = ExperimentContext::get(3, 3e-3);
+    SparseMwpmDecoder decoder(ctx.graph(), ctx.paths());
+    const int m = static_cast<int>(ctx.dem().mechanisms().size());
+    LerOptions options;
+    options.kMax = m + 1;
+    options.skipBelowK = m + 1;
+    options.samplesPerK = 16;
+    options.threads = 1;
+    const LerEstimate estimate = estimateLer(ctx, decoder, options);
+    ASSERT_EQ(estimate.perK.size(), static_cast<size_t>(m + 1));
+    const KStats &last = estimate.perK.back();
+    EXPECT_EQ(last.k, m + 1);
+    EXPECT_EQ(last.occurrence, 0.0);
+    EXPECT_EQ(last.samples, 0u);
+    EXPECT_EQ(last.failures, 0u);
+    EXPECT_EQ(estimate.ler, 0.0);
 }
 
 TEST(ImportanceSampler, WeightsBiasTowardProbableMechanisms)
