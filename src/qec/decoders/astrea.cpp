@@ -33,8 +33,7 @@ AstreaDecoder::decode(std::span<const uint32_t> defects,
         return result;
     }
     DefectGraph &dg = workspace.defectGraph;
-    buildDefectGraphInto(defects, paths_, workspace.distances,
-                         dg);
+    buildDefectGraphInto(defects, paths_, workspace.oracle, dg);
     MatchingSolution &solution = workspace.solution;
     workspace.exhaustive.solve(dg.problem, solution);
     if (!solution.valid) {
@@ -42,13 +41,11 @@ AstreaDecoder::decode(std::span<const uint32_t> defects,
         result.latencyNs = latency_.budgetNs;
         return result;
     }
-    result.predictedObs =
-        dg.solutionObs(workspace.distances, solution);
+    result.predictedObs = dg.solutionObs(solution);
     result.weight = solution.totalWeight;
     result.latencyNs = latency_.astreaLatencyNs(hw);
     if (trace) {
-        dg.chainLengthsInto(workspace.distances, solution,
-                            trace->chainLengths);
+        dg.chainLengthsInto(solution, trace->chainLengths);
     }
     return result;
 }

@@ -30,8 +30,7 @@ AstreaGDecoder::decode(std::span<const uint32_t> defects,
     }
 
     DefectGraph &dg = workspace.defectGraph;
-    buildDefectGraphInto(defects, paths_, workspace.distances,
-                         dg);
+    buildDefectGraphInto(defects, paths_, workspace.oracle, dg);
 
     // Prune pair edges whose chain probability is below the LER
     // scale; boundary edges always survive so a matching exists.
@@ -59,8 +58,7 @@ AstreaGDecoder::decode(std::span<const uint32_t> defects,
         result.latencyNs = latency_.budgetNs;
         return result;
     }
-    result.predictedObs =
-        dg.solutionObs(workspace.distances, solution);
+    result.predictedObs = dg.solutionObs(solution);
     result.weight = solution.totalWeight;
     const long long cycles =
         search.statesExplored() / latency_.astreaParallelism +
@@ -68,8 +66,7 @@ AstreaGDecoder::decode(std::span<const uint32_t> defects,
     result.latencyNs = static_cast<double>(cycles) *
                        latency_.nsPerCycle;
     if (trace) {
-        dg.chainLengthsInto(workspace.distances, solution,
-                            trace->chainLengths);
+        dg.chainLengthsInto(solution, trace->chainLengths);
     }
     return result;
 }

@@ -22,6 +22,11 @@
  *    touches `defectGraph`), and only `predecodeResult.residual`
  *    must survive a nested decode (the pipeline's handoff — main
  *    decoders must not write `predecodeResult`).
+ *  - No member caches pair cells across decodes: every component
+ *    reads the cells it needs through readPairCells
+ *    (distance_oracle.hpp) on each decode, so a workspace reused on
+ *    another table — even one built at the same address — decodes
+ *    exactly as a fresh one would.
  *  - `arena` is for transients that die before the owning
  *    component returns: a component may reset() it at the top of
  *    its own decode/predecode step, and must not hold arena spans
@@ -38,7 +43,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "qec/graph/distance_view.hpp"
+#include "qec/graph/distance_oracle.hpp"
 #include "qec/matching/defect_graph.hpp"
 #include "qec/matching/exhaustive.hpp"
 #include "qec/matching/near_exhaustive.hpp"
@@ -76,11 +81,10 @@ struct DecodeWorkspace
     MonotonicArena arena;
     /** Predecode layer: the defect subgraph, rebuilt in place. */
     SyndromeSubgraph subgraph;
-    /** Gathered S×S PathTable block of the current syndrome. The
-     *  predecoder gathers it for the full defect set; the main
-     *  decoder's residual resolves against it as a subset (see
-     *  distance_view.hpp). */
-    DistanceView distances;
+    /** Pair-cell rows of a DeferPairs table (readPairCells):
+     *  Promatch Step 3 and the DefectGraph build grow them here.
+     *  Holds no cell between queries. */
+    DistanceOracle oracle;
     /** Pipeline handoff: the predecoder's output, incl. residual. */
     PredecodeResult predecodeResult;
     /** Matching layer: the complete defect graph of a syndrome. */

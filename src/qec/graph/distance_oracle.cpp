@@ -142,4 +142,23 @@ DistanceOracle::grow(uint32_t src, std::span<const uint32_t> targets,
     }
 }
 
+void
+readPairCells(const PathTable &paths, DistanceOracle &oracle,
+              uint32_t src, std::span<const uint32_t> targets,
+              std::span<const Weight> bounds, PathCell *out)
+{
+    if (targets.empty()) {
+        return;
+    }
+    if (!paths.pairsAvailable()) {
+        oracle.bind(paths.graph());
+        oracle.grow(src, targets, bounds, out);
+        return;
+    }
+    const PathCell *row = paths.row(src);
+    for (size_t k = 0; k < targets.size(); ++k) {
+        out[k] = row[targets[k]];
+    }
+}
+
 } // namespace qec

@@ -7,9 +7,15 @@
  * target detectors — but computes them with a per-query Dijkstra
  * over the CSR adjacency instead of reading an O(V²) precomputed
  * matrix. It exists so high-distance stacks can run on a
- * PathTable built with DeferPairs (O(V) columns only):
- * DistanceView falls back to it for gathers, and the sparse matcher
- * uses its truncated growth to discover candidate edges locally.
+ * PathTable built with DeferPairs (O(V) columns only).
+ *
+ * One row read: readPairCells() below is the only decode-path code
+ * that tells the two table modes apart. It copies the cells of one
+ * source's row out of a dense table and grows them with an oracle
+ * on a DeferPairs table. Its three readers — the sparse candidate
+ * build, the DefectGraph block of Astrea / Astrea-G and Promatch
+ * Step 3 — read every pair cell through it and keep no cell past
+ * the decode that read it.
  *
  * Bit-identity: the oracle relaxes with the table's relaxPairEdges()
  * rule, whose labels do not depend on pop order (path_table.hpp), so
@@ -120,6 +126,20 @@ class DistanceOracle
     uint64_t curDist_ = 0; //!< Distance of the slot being drained.
     size_t queued_ = 0;    //!< Entries in the ring, stale included.
 };
+
+/**
+ * The cells of `src`'s row at `targets`: out[k] is the cell of
+ * (src, targets[k]). A dense table copies them out of its row; a
+ * DeferPairs table grows them with `oracle` (bound to the table's
+ * graph here), under DistanceOracle::grow's contract: a target
+ * within bounds[k] comes back exact, one beyond it exact or
+ * unreachable. A dense read ignores the bounds, so a caller must
+ * only act on cells within their bounds. Same requirements on
+ * `targets`, `bounds` and `out` as grow.
+ */
+void readPairCells(const PathTable &paths, DistanceOracle &oracle,
+                   uint32_t src, std::span<const uint32_t> targets,
+                   std::span<const Weight> bounds, PathCell *out);
 
 } // namespace qec
 

@@ -15,8 +15,9 @@
  * Data layout (docs/api.md "Data layout"): the three per-pair fields
  * (distance, path observable parity, hop count) are interleaved into
  * one 8-byte PathCell so a decode touches one cache line per pair
- * lookup instead of striding three separate n² arrays, and the
- * DistanceView gather streams all three fields in a single pass.
+ * lookup instead of striding three separate n² arrays, and a row
+ * read (readPairCells, distance_oracle.hpp) copies all three
+ * fields in a single pass.
  * Distances are the integer weights of weight.hpp, stored in 32 bits
  * (kNoPath = unreachable); fromDem guarantees every path fits.
  *
@@ -44,9 +45,10 @@
  * constructed with PathTable::DeferPairs builds only O(V) columns
  * and remembers the graph: the boundary column plus kLandmarks
  * landmark distance columns (node-major). Pair distances are then
- * computed on demand by DistanceOracle / the sparse matcher, and the
- * pair-cell accessors assert. pairsAvailable() tells the two modes
- * apart; storageBytes() reports either mode's footprint.
+ * computed on demand by a DistanceOracle, and the pair-cell
+ * accessors assert. pairsAvailable() tells the two modes apart; on
+ * the decode path only readPairCells (distance_oracle.hpp) asks it.
+ * storageBytes() reports either mode's footprint.
  *
  * Landmarks: by the triangle inequality d(i, j) >= |dL(i) - dL(j)|
  * for any detector L, so the landmark columns give every pair an

@@ -40,9 +40,9 @@ class ExperimentContext
      * the PathTable is built with PathTable::DeferPairs: only O(V)
      * boundary and landmark columns, no O(V²) pair half and no V
      * per-source Dijkstras. This is the high-distance (d >= 17) configuration
-     * for sparse-matcher stacks; dense-matcher stacks still work on
-     * it (DistanceView computes gathers on the fly) but pay a
-     * Dijkstra per gathered row.
+     * for sparse-matcher stacks; Astrea, Astrea-G and Promatch
+     * Step 3 still work on it (readPairCells grows each row they
+     * read with a DistanceOracle) but pay a Dijkstra per row.
      */
     ExperimentContext(int distance, double p, int rounds,
                       bool deferPathTable);

@@ -9,12 +9,12 @@
  * matched paths and the error-chain lengths (Fig. 5).
  *
  * The hot decode path rebuilds one workspace-owned DefectGraph in
- * place through the workspace's DistanceView: the S×S block of the
- * PathTable is gathered (or resolved as a subset of the block the
- * predecoder already gathered — see distance_view.hpp) and the
- * problem matrix plus the solution read-back then touch only that
- * dense block. `viewMap` records each local defect's index into the
- * view.
+ * place. The build reads each defect's row of pair cells through
+ * readPairCells (distance_oracle.hpp: table rows on a dense table,
+ * unbounded oracle growth on a DeferPairs one) into the graph's own
+ * cell block, and the problem matrix and the solution read-back
+ * then touch only that block. Nothing in it outlives the next
+ * build.
  */
 
 #ifndef QEC_MATCHING_DEFECT_GRAPH_HPP
@@ -24,7 +24,7 @@
 #include <span>
 #include <vector>
 
-#include "qec/graph/distance_view.hpp"
+#include "qec/graph/distance_oracle.hpp"
 #include "qec/graph/path_table.hpp"
 #include "qec/matching/matching_problem.hpp"
 
@@ -38,31 +38,37 @@ struct DefectGraph
     std::vector<uint32_t> defects;
     /** Complete-graph matching instance over the defects. */
     MatchingProblem problem;
-    /** Local defect index -> index into the DistanceView this graph
-     *  was built from (identity when the view was gathered for
-     *  exactly this defect set). */
-    std::vector<int32_t> viewMap;
+    /** Row-major S×S pair cells; only entries (i, j) with i < j are
+     *  read. */
+    std::vector<PathCell> cells;
+    /** Boundary cell of each defect. */
+    std::vector<PathCell> boundaryCells;
+    /** Unlimited oracle bounds, one per defect. */
+    std::vector<Weight> noBounds;
+
+    /** Cell of the pair (i, j), i < j. */
+    const PathCell &cell(int i, int j) const
+    {
+        return cells[static_cast<size_t>(i) * defects.size() + j];
+    }
 
     /** XOR of observable masks along all matched paths. */
-    uint64_t solutionObs(const DistanceView &view,
-                         const MatchingSolution &solution) const;
+    uint64_t solutionObs(const MatchingSolution &solution) const;
 
     /** Error-chain length (hops) of each matched pair/boundary,
      *  into a caller-owned buffer (capacity reused). */
-    void chainLengthsInto(const DistanceView &view,
-                          const MatchingSolution &sol,
+    void chainLengthsInto(const MatchingSolution &sol,
                           std::vector<int> &out) const;
 };
 
 /**
- * Rebuild `out` in place through `view`: resolves `defects` against
- * the view's gathered block (gathering from `paths` only when the
- * block does not already contain them) and fills the problem matrix
- * from the dense cells.
+ * Rebuild `out` in place for `defects` (sorted): reads every pair
+ * cell of `paths` through readPairCells (growing rows with `oracle`
+ * on a DeferPairs table) and fills the problem matrix from them.
  */
 void buildDefectGraphInto(std::span<const uint32_t> defects,
                           const PathTable &paths,
-                          DistanceView &view, DefectGraph &out);
+                          DistanceOracle &oracle, DefectGraph &out);
 
 } // namespace qec
 

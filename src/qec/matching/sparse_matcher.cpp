@@ -62,35 +62,14 @@ SparseMatchingProblem::build(const PathTable &paths,
     offsets_.clear();
     cands_.clear();
 
-    if (paths.pairsAvailable()) {
-        // Dense backend: read table rows on demand and prune. No
-        // S×S block is materialized — only the kept candidates.
-        for (int i = 0; i < n_; ++i) {
-            rt::pushBack(offsets_,
-                         static_cast<int32_t>(cands_.size()));
-            const PathCell *row = paths.row(defects_[i]);
-            for (int j = i + 1; j < n_; ++j) {
-                const PathCell &cell = row[defects_[j]];
-                if (keepCandidate(cell, boundaryPairCost(
-                                            bcells_[i], bcells_[j]))) {
-                    rt::pushBack(cands_, {j, cell});
-                }
-            }
-        }
-        rt::pushBack(offsets_,
-                 static_cast<int32_t>(cands_.size()));
-        return;
-    }
-
-    // Sparse backend: truncated local growth per source. A target
-    // the landmarks prove prunable is not searched at all; the rest
+    // Per source, the targets the landmarks do not prove prunable
+    // (none are on a dense table, which has no landmark columns)
     // carry the bound db(i) + db(j) beyond which keepCandidate
-    // rejects them, so the oracle stops as soon as no remaining
-    // target can be kept. Both steps drop only pairs keepCandidate
-    // would drop (header: exactness), so the two backends produce
-    // the identical candidate set (oracle cells are bit-identical
-    // to table cells).
-    oracle_.bind(paths.graph());
+    // rejects them, so on a deferred table the oracle stops as soon
+    // as no remaining target can be kept. Both cuts drop only pairs
+    // keepCandidate would drop (header: exactness), and the oracle's
+    // cells are bit-identical to the table's, so the two table modes
+    // produce the identical candidate set.
     const int lms = paths.numLandmarks();
     rt::resizeTo(rowScratch_,
                  n_ > 0 ? static_cast<size_t>(n_) : 0);
@@ -111,16 +90,12 @@ SparseMatchingProblem::build(const PathTable &paths,
             rt::pushBack(targetBounds_, cost);
             rt::pushBack(targetLocal_, static_cast<int32_t>(j));
         }
-        if (targetDets_.empty()) {
-            continue;
-        }
-        oracle_.grow(defects_[i], targetDets_, targetBounds_,
-                     rowScratch_.data());
+        readPairCells(paths, oracle_, defects_[i], targetDets_,
+                      targetBounds_, rowScratch_.data());
         for (size_t k = 0; k < targetDets_.size(); ++k) {
-            const int j = targetLocal_[k];
             const PathCell &cell = rowScratch_[k];
             if (keepCandidate(cell, targetBounds_[k])) {
-                rt::pushBack(cands_, {j, cell});
+                rt::pushBack(cands_, {targetLocal_[k], cell});
             }
         }
     }

@@ -21,9 +21,14 @@
  * differ between equal-weight optima, as with any exact solver. All
  * weights are integers (weight.hpp), so every test below is exact.
  *
- * On a deferred table the build finds the kept pairs without
- * settling every target, by two cuts that each drop only pairs the
- * rule above drops:
+ * The build is one loop for both table modes: per defect i, the
+ * targets j > i pass a landmark test, their row of cells is read
+ * through readPairCells (distance_oracle.hpp) and the keep test
+ * runs on each cell. On a dense table the landmark test is a no-op
+ * (no landmark columns) and the row read copies table cells. On a
+ * deferred table the two steps find the kept pairs without settling
+ * every target, by two cuts that each drop only pairs the rule
+ * above drops:
  *
  * 1. Landmarks. By the triangle inequality d(i, j) >= |a - b| for
  *    the landmark distances a, b of i and j, so |a - b| >= db(i) +
@@ -31,11 +36,11 @@
  *    kNoPath, i and j lie in different components and the pair is
  *    unreachable, so any prune is right; when both are, |a - b| = 0
  *    proves nothing (boundary distances are at least one unit).
- * 2. Per-target stop. The surviving targets go to one
- *    DistanceOracle::grow with bound db(i) + db(j) each; the oracle
- *    stops only once every unsettled target lies beyond its bound,
- *    while every target within its bound settles and is tested as
- *    the dense backend tests it.
+ * 2. Per-target stop. The surviving targets go to one row read
+ *    with bound db(i) + db(j) each; the oracle stops only once
+ *    every unsettled target lies beyond its bound, while every
+ *    target within its bound settles and is tested as the dense
+ *    backend tests it.
  *
  * The oracle's cells equal the table's (path_table.hpp: one
  * labelling rule), so the two backends produce the identical
@@ -121,7 +126,7 @@ class SparseMatchingProblem
     std::vector<Weight> targetBounds_; //!< Their keep bounds.
     std::vector<int32_t> targetLocal_; //!< Their local indices.
     std::vector<PathCell> rowScratch_;
-    DistanceOracle oracle_;           //!< Lazy distance backend.
+    DistanceOracle oracle_;           //!< Deferred-table row reads.
 };
 
 /**

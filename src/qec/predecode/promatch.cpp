@@ -4,6 +4,7 @@
 
 #include "qec/api/registry.hpp"
 #include "qec/decoders/workspace.hpp"
+#include "qec/graph/distance_oracle.hpp"
 #include "qec/matching/matching_problem.hpp"
 #include "qec/util/arena.hpp"
 #include "qec/util/assert.hpp"
@@ -23,13 +24,6 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
     result.reset();
     SyndromeSubgraph &sg = workspace.subgraph;
     sg.build(graph_, defects);
-    // Step 3 consults defect-to-defect shortest paths through the
-    // workspace's gathered S×S block (local indices coincide with
-    // the subgraph's). The gather is lazy — most syndromes resolve
-    // in Steps 1/2 and never touch a path — and idempotent across
-    // rounds. When it does fire, the pipeline's main decoder later
-    // resolves its residual as a subset of the same block.
-    DistanceView &dv = workspace.distances;
     // All per-round lists below are arena transients; they die with
     // this call, and the arena keeps its high-water capacity across
     // decodes (zero allocations once warm).
@@ -70,6 +64,12 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
     ArenaVector<std::pair<int, int>> edges(arena, 64);
     ArenaVector<std::pair<int, int>> isolated(arena, 16);
     ArenaVector<int> singletons(arena, 16);
+    // One Step-3 row: partner locals, their detectors, the row's
+    // bound per partner and the cells read back.
+    ArenaVector<int> partners(arena, 16);
+    ArenaVector<uint32_t> partnerDets(arena, 16);
+    ArenaVector<Weight> partnerBounds(arena, 16);
+    ArenaVector<PathCell> partnerCells(arena, 16);
 
     int guard = 0;
     while (true) {
@@ -139,12 +139,18 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
         }
 
         // --- Step 3: singleton rescue via shortest paths, only when
-        // no safe Step-2 candidate exists (Algorithm 1).
+        // no safe Step-2 candidate exists (Algorithm 1). Each
+        // singleton's row of path cells is read through
+        // readPairCells (a table row, or oracle growth on a
+        // DeferPairs table) with the best weight so far as every
+        // partner's bound: a path wins only when strictly cheaper,
+        // so a cell past the bound can never change the pick.
         struct Step3Candidate
         {
             Weight weight = kNoEdge;
             int singleton = -1;
             int partner = -1; //!< Local index, or -1 for boundary.
+            uint64_t obs = 0; //!< Observable parity of the path.
         };
         Step3Candidate c3;
         bool used_step3_scan = false;
@@ -157,17 +163,19 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
             }
             if (!singletons.empty()) {
                 used_step3_scan = true;
-                dv.gather(paths_, defects);
                 long long paths = 0;
                 for (int s : singletons) {
-                    // Boundary is always a legal partner. All path
-                    // lookups below hit the gathered dense block
-                    // (bit-copies of the PathTable).
+                    // Boundary is always a legal partner.
                     ++paths;
-                    const uint32_t bw = dv.distToBoundary(s);
-                    if (bw != kNoPath && bw < c3.weight) {
-                        c3 = {bw, s, -1};
+                    const PathCell &bc =
+                        paths_.boundaryCell(sg.det(s));
+                    if (bc.dist != kNoPath && bc.dist < c3.weight) {
+                        c3 = {bc.dist, s, -1, bc.obs};
                     }
+                    partners.clear();
+                    partnerDets.clear();
+                    partnerBounds.clear();
+                    partnerCells.clear();
                     for (int i = 0; i < sg.size(); ++i) {
                         if (!sg.alive(i) || i == s) {
                             continue;
@@ -176,9 +184,21 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
                         if (sg.removalCreatesSingleton(i)) {
                             continue;
                         }
-                        const uint32_t w = dv.dist(s, i);
-                        if (w != kNoPath && w < c3.weight) {
-                            c3 = {w, s, i};
+                        partners.push_back(i);
+                        partnerDets.push_back(sg.det(i));
+                        partnerBounds.push_back(c3.weight);
+                        partnerCells.push_back(PathCell{});
+                    }
+                    readPairCells(
+                        paths_, workspace.oracle, sg.det(s),
+                        {partnerDets.data(), partnerDets.size()},
+                        {partnerBounds.data(), partnerBounds.size()},
+                        partnerCells.data());
+                    for (size_t k = 0; k < partners.size(); ++k) {
+                        const PathCell &cell = partnerCells[k];
+                        if (cell.dist != kNoPath &&
+                            cell.dist < c3.weight) {
+                            c3 = {cell.dist, s, partners[k], cell.obs};
                         }
                     }
                 }
@@ -204,15 +224,10 @@ PromatchPredecoder::predecode(std::span<const uint32_t> defects,
             match_pair(c22.i, c22.j);
         } else if (used_step3_scan && c3.singleton >= 0) {
             result.steps.step3 = true;
-            if (c3.partner < 0) {
-                result.obsMask ^= dv.boundaryObs(c3.singleton);
-                weight += c3.weight;
-                sg.kill(c3.singleton);
-            } else {
-                result.obsMask ^=
-                    dv.obs(c3.singleton, c3.partner);
-                weight += c3.weight;
-                sg.kill(c3.singleton);
+            result.obsMask ^= c3.obs;
+            weight += c3.weight;
+            sg.kill(c3.singleton);
+            if (c3.partner >= 0) {
                 sg.kill(c3.partner);
             }
         } else if (config_.enableStep4 && c41.i >= 0) {

@@ -37,7 +37,7 @@
 #include "qec/fault/fault_injector.hpp"
 #include "qec/gf2/gf2.hpp"
 #include "qec/graph/decoding_graph.hpp"
-#include "qec/graph/distance_view.hpp"
+#include "qec/graph/distance_oracle.hpp"
 #include "qec/graph/path_table.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/histogram.hpp"

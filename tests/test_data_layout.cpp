@@ -8,8 +8,8 @@
  *    random DEMs and on surface-code graphs;
  *  - the SoA hot fields (weight/obs/endpoints) are bit-copies of
  *    the GraphEdge AoS;
- *  - DistanceView gathers are bit-copies of direct PathTable reads,
- *    and subsetMap resolves residual subsets without regathering;
+ *  - readPairCells returns bit-copies of direct PathTable reads, on
+ *    a dense table and (grown by the oracle) on a DeferPairs one;
  *  - PathTable symmetry invariants: dist(a,b) == dist(b,a) (up to
  *    float accumulation order), symmetric reachability, zero
  *    diagonal.
@@ -18,10 +18,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "qec/graph/decoding_graph.hpp"
-#include "qec/graph/distance_view.hpp"
+#include "qec/graph/distance_oracle.hpp"
 #include "qec/graph/path_table.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/util/rng.hpp"
@@ -152,14 +153,15 @@ TEST(DataLayout, SoaHotFieldsAreBitCopiesOfAos)
     }
 }
 
-TEST(DataLayout, DistanceViewGatherIsBitExact)
+TEST(DataLayout, ReadPairCellsIsBitExact)
 {
     Rng rng(0xD15);
     const DecodingGraph graph =
         DecodingGraph::fromDem(randomDem(rng, 40));
-    const PathTable paths(graph);
+    const PathTable dense(graph);
+    const PathTable deferred(graph, PathTable::DeferPairs{});
 
-    DistanceView view;
+    DistanceOracle oracle;
     for (int round = 0; round < 6; ++round) {
         // Random sorted defect subset.
         std::vector<uint32_t> defects;
@@ -169,65 +171,23 @@ TEST(DataLayout, DistanceViewGatherIsBitExact)
                 defects.push_back(det);
             }
         }
-        view.gather(paths, defects);
-        ASSERT_EQ(view.size(),
-                  static_cast<int>(defects.size()));
-        for (size_t i = 0; i < defects.size(); ++i) {
-            // Bit-copies: compare with ==.
-            EXPECT_EQ(view.distToBoundary(i),
-                      paths.distToBoundary(defects[i]));
-            EXPECT_EQ(view.boundaryObs(i),
-                      paths.boundaryObs(defects[i]));
-            EXPECT_EQ(view.boundaryHops(i),
-                      paths.boundaryHops(defects[i]));
-            for (size_t j = 0; j < defects.size(); ++j) {
-                EXPECT_EQ(view.dist(i, j),
-                          paths.dist(defects[i], defects[j]));
-                EXPECT_EQ(view.obs(i, j),
-                          paths.pathObs(defects[i], defects[j]));
-                EXPECT_EQ(
-                    view.hops(i, j),
-                    paths.pathHops(defects[i], defects[j]));
+        const std::vector<Weight> bounds(
+            defects.size(), std::numeric_limits<Weight>::max());
+        std::vector<PathCell> row(defects.size());
+        for (const PathTable *paths : {&dense, &deferred}) {
+            for (uint32_t src : defects) {
+                readPairCells(*paths, oracle, src, defects, bounds,
+                              row.data());
+                for (size_t k = 0; k < defects.size(); ++k) {
+                    // Bit-copies: compare with ==.
+                    const PathCell &want = dense.cell(src, defects[k]);
+                    EXPECT_EQ(row[k].dist, want.dist);
+                    EXPECT_EQ(row[k].obs, want.obs);
+                    EXPECT_EQ(row[k].hops, want.hops);
+                }
             }
         }
     }
-}
-
-TEST(DataLayout, DistanceViewSubsetMapResolvesResiduals)
-{
-    const auto &ctx = ExperimentContext::get(5, 1e-3);
-    const PathTable &paths = ctx.paths();
-    std::vector<uint32_t> full = {1, 4, 7, 9, 13, 20, 31};
-    DistanceView view;
-    view.gather(paths, full);
-
-    // Every subset resolves without regathering; mapped cells read
-    // back the direct PathTable values.
-    std::vector<int32_t> map;
-    std::vector<uint32_t> residual = {4, 9, 31};
-    ASSERT_TRUE(view.subsetMap(paths, residual, map));
-    ASSERT_EQ(map.size(), residual.size());
-    for (size_t i = 0; i < residual.size(); ++i) {
-        EXPECT_EQ(view.det(map[i]), residual[i]);
-        for (size_t j = 0; j < residual.size(); ++j) {
-            EXPECT_EQ(view.dist(map[i], map[j]),
-                      paths.dist(residual[i], residual[j]));
-        }
-    }
-
-    // A detector outside the gathered set must force a regather.
-    std::vector<uint32_t> foreign = {4, 9, 32};
-    EXPECT_FALSE(view.subsetMap(paths, foreign, map));
-
-    // Exact cover is the identity map.
-    ASSERT_TRUE(view.subsetMap(paths, full, map));
-    for (size_t i = 0; i < full.size(); ++i) {
-        EXPECT_EQ(map[i], static_cast<int32_t>(i));
-    }
-
-    // covers() distinguishes exact matches from subsets.
-    EXPECT_TRUE(view.covers(paths, full));
-    EXPECT_FALSE(view.covers(paths, residual));
 }
 
 void

@@ -18,8 +18,9 @@
  *    and the oracle's bucket ring);
  *  - DistanceOracle rebinding when a new graph reuses the old
  *    one's address;
- *  - the deferred DistanceView gather (the path Promatch Step 3
- *    takes at d = 21) is a bit-copy of the dense table;
+ *  - every stack that reads pair cells (the Astrea / Astrea-G
+ *    defect graph, Promatch Step 3, the sparse build) decodes
+ *    identically on a dense and a DeferPairs table;
  *  - the `mwpm` decoder's weights equal blossom's on the full
  *    defect graph, and `mwpm` and `sparse` are one decoder;
  *  - decodeBlock lane equivalence with the sparse matcher active on
@@ -40,7 +41,6 @@
 #include "qec/decoders/workspace.hpp"
 #include "qec/graph/decoding_graph.hpp"
 #include "qec/graph/distance_oracle.hpp"
-#include "qec/graph/distance_view.hpp"
 #include "qec/graph/path_table.hpp"
 #include "qec/harness/context.hpp"
 #include "qec/harness/importance_sampler.hpp"
@@ -148,9 +148,9 @@ expectSparseMatchesDense(const PathTable &paths,
                          std::span<const uint32_t> defects,
                          const std::string &label)
 {
-    DistanceView view;
+    DistanceOracle oracle;
     DefectGraph dg;
-    buildDefectGraphInto(defects, paths, view, dg);
+    buildDefectGraphInto(defects, paths, oracle, dg);
     BlossomSolver blossom;
     MatchingSolution dense;
     blossom.solve(dg.problem, dense);
@@ -175,7 +175,7 @@ expectSparseMatchesDense(const PathTable &paths,
         }
     }
     if (dense.mate == sparse.mate) {
-        EXPECT_EQ(dg.solutionObs(view, dense),
+        EXPECT_EQ(dg.solutionObs(dense),
                   sp.solutionObs(sparse))
             << label;
     }
@@ -398,42 +398,49 @@ TEST(SparseMatch, OracleRebindsWhenANewGraphReusesTheAddress)
     }
 }
 
-TEST(SparseMatch, DeferredViewGatherIsBitIdenticalToDense)
+TEST(SparseMatch, DenseAndDeferredTablesDecodeIdentically)
 {
-    // Promatch Step 3 reads the workspace DistanceView; on a
-    // DeferPairs table the gather computes cells with the oracle.
-    // Every cell must be a bit-copy of the dense table's.
+    // Every stack that reads pair cells reads them through
+    // readPairCells: table rows on a dense table, oracle growth on a
+    // DeferPairs one. Each DecodeResult must be the same on both,
+    // and Step 3 must commit on some sample so that its bounded
+    // oracle row read runs.
     const auto &ctx = ExperimentContext::get(7, 1e-3);
     const PathTable deferred(ctx.graph(), PathTable::DeferPairs{});
-    Rng rng(0x5a6f);
-    DistanceView view;
-    for (int t = 0; t < 10; ++t) {
-        const std::vector<uint32_t> defects =
-            randomSyndrome(ctx.graph(), rng, 0.01);
-        if (defects.empty()) {
-            continue;
-        }
-        view.gather(deferred, defects);
-        const int s = view.size();
-        ASSERT_EQ(s, static_cast<int>(defects.size()));
-        for (int a = 0; a < s; ++a) {
-            EXPECT_EQ(view.distToBoundary(a),
-                      ctx.paths().distToBoundary(defects[a]));
-            EXPECT_EQ(view.boundaryObs(a),
-                      ctx.paths().boundaryObs(defects[a]));
-            for (int b = 0; b < s; ++b) {
-                EXPECT_EQ(view.dist(a, b),
-                          ctx.paths().dist(defects[a], defects[b]))
-                    << "pair " << a << "," << b;
-                EXPECT_EQ(view.obs(a, b),
-                          ctx.paths().pathObs(defects[a],
-                                              defects[b]));
-                EXPECT_EQ(view.hops(a, b),
-                          ctx.paths().pathHops(defects[a],
-                                               defects[b]));
-            }
+    ImportanceSampler sampler(ctx.dem(), 24);
+    std::vector<std::vector<uint32_t>> samples;
+    for (int k = 2; k <= 24; k += 2) {
+        for (int i = 0; i < 40; ++i) {
+            Rng rng = Rng::forSample(0xde5e, k, i);
+            samples.push_back(sampler.sample(k, rng).defects);
         }
     }
+    bool step3 = false;
+    for (const char *spec :
+         {"promatch+astrea", "astrea", "astrea_g",
+          "promatch+astrea||astrea_g", "promatch+sparse", "mwpm"}) {
+        auto dense = build(DecoderSpec::parse(spec), ctx.graph(),
+                           ctx.paths());
+        auto onDemand = build(DecoderSpec::parse(spec), ctx.graph(),
+                              deferred);
+        DecodeWorkspace denseWs;
+        DecodeWorkspace onDemandWs;
+        DecodeTrace trace;
+        for (size_t n = 0; n < samples.size(); ++n) {
+            const DecodeResult a = dense->decode(samples[n], denseWs);
+            const DecodeResult b =
+                onDemand->decode(samples[n], onDemandWs, &trace);
+            step3 = step3 || trace.steps.step3;
+            const std::string label =
+                std::string(spec) + " sample " + std::to_string(n);
+            EXPECT_EQ(a.predictedObs, b.predictedObs) << label;
+            EXPECT_EQ(a.weight, b.weight) << label;
+            EXPECT_EQ(a.latencyNs, b.latencyNs) << label;
+            EXPECT_EQ(a.aborted, b.aborted) << label;
+            EXPECT_EQ(a.realTime, b.realTime) << label;
+        }
+    }
+    EXPECT_TRUE(step3) << "Step 3 never committed";
 }
 
 TEST(SparseMatch, LerMatchesDenseMwpm)
@@ -448,7 +455,7 @@ TEST(SparseMatch, LerMatchesDenseMwpm)
                         ctx.paths());
     ImportanceSampler sampler(ctx.dem(), 10);
     DecodeWorkspace ws;
-    DistanceView view;
+    DistanceOracle oracle;
     DefectGraph dg;
     BlossomSolver blossom;
     MatchingSolution dense;
@@ -457,7 +464,7 @@ TEST(SparseMatch, LerMatchesDenseMwpm)
             Rng rng = Rng::forSample(0x5a7e, k, i);
             const auto sample = sampler.sample(k, rng);
             const DecodeResult a = mwpm->decode(sample.defects, ws);
-            buildDefectGraphInto(sample.defects, ctx.paths(), view,
+            buildDefectGraphInto(sample.defects, ctx.paths(), oracle,
                                  dg);
             blossom.solve(dg.problem, dense);
             ASSERT_EQ(a.aborted, !dense.valid);

@@ -5,13 +5,16 @@
  *  - a counting global allocator proves that steady-state decoding
  *    (after a warmup pass over the same syndrome set) performs
  *    ZERO heap allocations for promatch+astrea, astrea_g, and
- *    mwpm through a caller-owned workspace, for the sparse stacks
- *    on a DeferPairs table as well as a dense one, and for
+ *    mwpm through a caller-owned workspace, for the sparse, Astrea
+ *    and Promatch stacks on a DeferPairs table as well as a dense
+ *    one, and for
  *    DecodeServer streaming on the workspace each StreamingDecoder
  *    owns;
  *  - MonotonicArena / ArenaVector unit behavior (reset keeps
  *    capacity, growth preserves contents);
- *  - SyndromeSubgraph rebuild-in-place equivalence.
+ *  - SyndromeSubgraph rebuild-in-place equivalence;
+ *  - a workspace reused on a new table at the same address decodes
+ *    like a fresh one (no pair cell outlives a decode).
  *
  * The allocator instrumentation replaces the global operator
  * new/delete for this test binary; it only counts, never changes
@@ -24,6 +27,7 @@
 #include <cstdlib>
 #include <new>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -161,10 +165,12 @@ const char *const kZeroAllocSpecs[] = {"promatch+astrea",
                                        "sparse",
                                        "promatch+sparse"};
 
-/** Stacks run on a DeferPairs table as well: their distances come
+/** Stacks run on a DeferPairs table as well: their pair cells come
  *  from the on-demand oracle (bucket ring, landmark pruning, the
- *  deferred DistanceView gather), which a dense table bypasses. */
-const char *const kDeferredSpecs[] = {"sparse", "promatch+sparse"};
+ *  Astrea defect-graph rows and Promatch's Step-3 rows), which a
+ *  dense table bypasses. */
+const char *const kDeferredSpecs[] = {"sparse", "promatch+sparse",
+                                      "promatch+astrea", "astrea_g"};
 
 /** Every (spec, table) pair the steady-state checks cover. */
 std::vector<std::pair<const char *, const PathTable *>>
@@ -351,6 +357,46 @@ TEST(Workspace, LerEstimateUnchangedByThreadCount)
                 << spec << " k=" << serial.perK[i].k;
         }
     }
+}
+
+TEST(Workspace, ReusedOnANewTableAtTheSameAddressDecodesLikeFresh)
+{
+    // Two d = 5 graphs with the same detectors and different
+    // weights. Each sample is decoded on a table of the first, then
+    // the table is re-emplaced from the second at the same address
+    // and the sample decoded again on the same workspace: it must
+    // match a fresh workspace's decode.
+    const auto &low = ExperimentContext::get(5, 1e-3);
+    const auto &high = ExperimentContext::get(5, 2e-2);
+    ASSERT_EQ(low.graph().numDetectors(), high.graph().numDetectors());
+    ImportanceSampler sampler(low.dem(), 6);
+    std::optional<PathTable> table;
+    DecodeWorkspace reused;
+    int decoded = 0;
+    for (int i = 0; i < 200; ++i) {
+        Rng rng = Rng::forSample(0x7ab1e, 6, i);
+        const std::vector<uint32_t> defects =
+            sampler.sample(6, rng).defects;
+        if (defects.empty() || defects.size() > 10) {
+            continue;
+        }
+        table.emplace(low.graph());
+        const PathTable *first = &*table;
+        build(DecoderSpec::parse("astrea"), low.graph(), *table)
+            ->decode(defects, reused);
+        table.emplace(high.graph());
+        ASSERT_EQ(&*table, first);
+        auto decoder =
+            build(DecoderSpec::parse("astrea"), high.graph(), *table);
+        DecodeWorkspace fresh;
+        const DecodeResult got = decoder->decode(defects, reused);
+        const DecodeResult want = decoder->decode(defects, fresh);
+        EXPECT_EQ(got.predictedObs, want.predictedObs) << "sample " << i;
+        EXPECT_EQ(got.weight, want.weight) << "sample " << i;
+        EXPECT_EQ(got.aborted, want.aborted) << "sample " << i;
+        ++decoded;
+    }
+    EXPECT_GT(decoded, 100);
 }
 
 TEST(Arena, ResetKeepsCapacityAndStopsAllocating)
